@@ -53,9 +53,10 @@ from repro.datastore.query import (
     _columnar_scan,
     _observe_query,
     _record_scan,
-    _scan_segment,
+    columnar_positions,
 )
-from repro.datastore.stats import HLL_P, HLL_REL_BOUND, stat_key
+from repro.datastore.stats import HLL_P, HLL_REL_BOUND, keyed_value_counts, \
+    stat_key
 
 #: engage gathered predicate evaluation when the leading predicate's
 #: estimated selectivity is at or below this fraction...
@@ -476,11 +477,9 @@ def _parallel_plan_triples(contributing: List[SegmentPlan], query: Query,
         sp = by_identity.get(id(segment))
         if sp is not None:
             sp.actual_rows = len(positions)
-        records = segment.records
-        ts = segment.columns().timestamp
-        for p in positions.tolist():
-            stored = records[p]
-            triples.append((float(ts[p]), stored.rid, stored))
+        rows = segment.stored_at(positions)
+        triples.extend(zip(segment.columns().timestamp[positions].tolist(),
+                           [stored.rid for stored in rows], rows))
     return triples
 
 
@@ -517,6 +516,94 @@ def execute_plan_sharded(store, plan: QueryPlan, executor=None,
         _observe_plan(obs, plan)
         _observe_query(obs, started, len(records), columnar)
     return records
+
+
+# -- exact aggregates --------------------------------------------------------
+#
+# Aggregates never build rows for what the columns can answer: a
+# segment's matches are counted from their positions, and a DISTINCT or
+# heavy-hitter tally reads only the one column it needs at those
+# positions.  Rows are built only for segments whose matches need
+# per-record checks (residual fields, tags, a predicate), for a field
+# without a column, and for a tally cut by a limit.
+
+
+def _exact_key(record, field_of, fld):
+    value = field_of(record, fld)
+    key = stat_key(value)
+    return value if key is None else key
+
+
+def _tally_records(tallies: Dict, records, field_of, fld: str) -> None:
+    for stored in records:
+        key = _exact_key(stored.record, field_of, fld)
+        tallies[key] = tallies.get(key, 0) + 1
+
+
+def _aggregate_segment(sp: SegmentPlan, query: Query,
+                       fld: Optional[str] = None,
+                       tallies: Optional[Dict] = None) -> bool:
+    """Count one planned segment's matches into ``sp.actual_rows`` and,
+    given ``fld``, its keys among them into ``tallies``; returns whether
+    the segment's column block served the scan."""
+    segment = sp.segment
+    cols = segment.columns()
+    positions = None
+    if cols is not None and not query.tags and query.predicate is None:
+        positions = columnar_positions(cols, query.time_range, query.where,
+                                       where_items=sp.where_items,
+                                       gather=sp.gather)
+    if positions is None:
+        pairs, _, columnar = _scan_planned(sp, query)
+        sp.actual_rows = len(pairs)
+        if fld is not None:
+            _tally_records(tallies, (stored for _, stored in pairs),
+                           segment.schema.field_of, fld)
+        return columnar
+    sp.actual_rows = len(positions)
+    if fld is not None and len(positions):
+        counted = keyed_value_counts(cols, fld, positions)
+        if counted is None:             # no column for fld: read rows
+            _tally_records(tallies, segment.stored_at(positions),
+                           segment.schema.field_of, fld)
+        else:
+            for key, count in zip(counted[0], counted[1].tolist()):
+                tallies[key] = tallies.get(key, 0) + count
+    return True
+
+
+def _exact_aggregate(store, plan: QueryPlan, query: Query, obs=None,
+                     fld: Optional[str] = None) -> Tuple[int, Dict]:
+    """(matching rows, ``{key: count}`` of ``fld`` — empty without
+    one) for an exact aggregate, filling the plan's actual rows and the
+    obs counters exactly as :func:`execute_plan` does."""
+    tallies: Dict = {}
+    if fld is not None and query.limit is not None:
+        # The limit keeps the first rows in (time, rid) order — on a
+        # sharded store too, whose segment order is shard-major — so
+        # take the rows through the deterministic merge.
+        records = execute_plan_sharded(store, plan, obs=obs)
+        _tally_records(tallies, records,
+                       schemas.SCHEMAS[query.collection].field_of, fld)
+        return len(records), tallies
+    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
+    if obs is None:
+        for sp in contributing:
+            _aggregate_segment(sp, query, fld, tallies)
+    else:
+        started = obs.clock.now()
+        with obs.span("query.plan.scan", collection=query.collection,
+                      segments=len(contributing)):
+            columnar = all([_aggregate_segment(sp, query, fld, tallies)
+                            for sp in contributing])
+    rows = sum(sp.actual_rows for sp in contributing)
+    if query.limit is not None:
+        rows = min(rows, query.limit)
+    plan.root.actual_rows = rows
+    if obs is not None:
+        _observe_plan(obs, plan)
+        _observe_query(obs, started, rows, columnar)
+    return rows, tallies
 
 
 # -- approximate answers -----------------------------------------------------
@@ -583,10 +670,9 @@ def _sketch_count(plan: QueryPlan, query: Query) -> Tuple[int, int, str]:
                 estimate += answer[0]
                 bound += answer[1]
                 continue
-        scanned = _scan_segment(segment, query)
+        _aggregate_segment(sp, query)
         exact_segments += 1
-        if scanned is not None:
-            estimate += len(scanned[0])
+        estimate += sp.actual_rows
     return estimate, bound, "hybrid" if exact_segments else "sketch"
 
 
@@ -597,7 +683,9 @@ def execute_count(store, query: Query, obs=None) -> AggregateAnswer:
     one equality predicate; no tags, residual predicate, or limit),
     the count comes from the stats blocks when the composed error
     bound fits the budget; otherwise — and always without a budget —
-    it falls back to exact planned execution.
+    it falls back to the exact count of each planned segment's
+    matching positions (rows are built only where matches need
+    per-record checks).
     """
     plan = plan_query(store, query)
     budget: Optional[ErrorBudget] = query.approx
@@ -616,10 +704,9 @@ def execute_count(store, query: Query, obs=None) -> AggregateAnswer:
                                    plan=plan)
     if budget is not None:
         _observe_sketch(obs, "count", "fallback")
-    records = execute_plan(store, plan, obs=obs)
-    _wrap_sketch(plan, "count", "exact", 0, budget, len(records))
-    return AggregateAnswer(value=len(records), bound=0, source="exact",
-                           plan=plan)
+    value, _ = _exact_aggregate(store, plan, query, obs=obs)
+    _wrap_sketch(plan, "count", "exact", 0, budget, value)
+    return AggregateAnswer(value=value, bound=0, source="exact", plan=plan)
 
 
 def _distinct_shape(query: Query) -> bool:
@@ -643,12 +730,6 @@ def _stats_columns(plan: QueryPlan, query: Query, fld: str):
             return None
         parts.append(column)
     return parts
-
-
-def _exact_key(record, field_of, fld):
-    value = field_of(record, fld)
-    key = stat_key(value)
-    return value if key is None else key
 
 
 def execute_distinct(store, query: Query, fld: str,
@@ -681,10 +762,8 @@ def execute_distinct(store, query: Query, fld: str,
                                        source="sketch", plan=plan)
     if budget is not None:
         _observe_sketch(obs, "distinct", "fallback")
-    records = execute_plan(store, plan, obs=obs)
-    field_of = schemas.SCHEMAS[query.collection].field_of
-    value = len({_exact_key(stored.record, field_of, fld)
-                 for stored in records})
+    _, tallies = _exact_aggregate(store, plan, query, obs=obs, fld=fld)
+    value = len(tallies)
     _wrap_sketch(plan, "distinct", "exact", 0, budget, value)
     return AggregateAnswer(value=value, bound=0, source="exact", plan=plan)
 
@@ -744,12 +823,7 @@ def execute_heavy_hitters(store, query: Query, fld: str, k: int = 8,
                                        source="sketch", plan=plan)
     if budget is not None:
         _observe_sketch(obs, "heavy_hitters", "fallback")
-    records = execute_plan(store, plan, obs=obs)
-    field_of = schemas.SCHEMAS[query.collection].field_of
-    tallies: Dict[object, int] = {}
-    for stored in records:
-        key = _exact_key(stored.record, field_of, fld)
-        tallies[key] = tallies.get(key, 0) + 1
+    _, tallies = _exact_aggregate(store, plan, query, obs=obs, fld=fld)
     ranked = sorted(tallies.items(), key=lambda kv: (-kv[1], str(kv[0])))
     top = ranked[:k]
     _wrap_sketch(plan, "heavy_hitters", "exact", 0, budget, len(top))

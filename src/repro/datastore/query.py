@@ -199,20 +199,18 @@ def _columnar_scan(segment, cols, query: Query, where_items=None,
     if len(positions) == 0:
         return []
 
-    records = segment.records
     ts = cols.timestamp
     if residual or query.tags or query.predicate is not None:
-        kept = [p for p in positions.tolist()
-                if _matches(records[p], segment, query)]
-        pairs = [(float(ts[p]), records[p]) for p in kept]
+        pairs = [pair for pair in zip(ts[positions].tolist(),
+                                      segment.stored_at(positions))
+                 if _matches(pair[1], segment, query)]
         if query.order_by_time:
             pairs.sort(key=_TIME_KEY)
         return pairs
 
     if query.order_by_time and not cols.time_sorted:
         positions = positions[np.argsort(ts[positions], kind="stable")]
-    return list(zip(ts[positions].tolist(),
-                    map(records.__getitem__, positions.tolist())))
+    return list(zip(ts[positions].tolist(), segment.stored_at(positions)))
 
 
 def columnar_positions(cols, time_range, where, where_items=None,
@@ -290,7 +288,7 @@ def _record_scan(segment,
     if candidates is None:
         rows = segment.records
     else:
-        rows = [segment.records[p] for p in sorted(set(candidates))]
+        rows = segment.stored_at(sorted(set(candidates)))
     time_of = segment.schema.time_of
     pairs: List[Tuple[float, object]] = []
     ordered = True
@@ -303,24 +301,6 @@ def _record_scan(segment,
             previous = t
             pairs.append((t, stored))
     return pairs, ordered
-
-
-def _scan_segment(segment, query: Query) \
-        -> Optional[Tuple[List[Tuple[float, object]], bool, bool]]:
-    """(pairs, came-out-ordered, columnar) for one segment; None when
-    pruned.  The third element reports which path scanned the segment so
-    query instrumentation can label latency by path."""
-    if not segment.records:
-        return None
-    if query.time_range is not None and not segment.overlaps(
-        *query.time_range
-    ):
-        return None
-    cols = segment.columns()
-    if cols is not None:
-        return _columnar_scan(segment, cols, query), query.order_by_time, \
-            True
-    return _record_scan(segment, query) + (False,)
 
 
 def _observe_query(obs, started: float, rows: int, columnar: bool) -> None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.datastore.index import HashIndex, InvertedIndex, TimeIndex
 from repro.datastore.schema import CollectionSchema
 from repro.netsim.packets import PacketColumns
@@ -82,6 +84,14 @@ class Segment:
             self.bytes_estimate += sum(map(size_fn, records))
         times = list(map(attrgetter(self.schema.time_field), records))
         self.time_index.add_batch(times, range(start, start + len(batch)))
+
+    def stored_at(self, positions) -> List:
+        """The stored records at ``positions`` (an array or sequence of
+        ints), in that order.  Part of the SegmentSource surface: a
+        cold segment builds the same rows from its columns in bulk."""
+        if isinstance(positions, np.ndarray):
+            positions = positions.tolist()
+        return list(map(self.records.__getitem__, positions))
 
     def seal(self, build_stats: bool = False) -> None:
         self.sealed = True

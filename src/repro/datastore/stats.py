@@ -175,28 +175,29 @@ class ColumnStats:
         return min(1.0, estimate[0] / self.n)
 
 
-def _keyed_value_counts(cols, fld) \
+def keyed_value_counts(cols, fld, positions: Optional[np.ndarray] = None) \
         -> Optional[Tuple[List, np.ndarray, bool]]:
-    """(keys, counts, ip_canonical) over one column block, one pass."""
+    """(keys, counts, ip_canonical) of one column, in one pass over the
+    whole block or only over the rows at ``positions``; keys are
+    :func:`stat_key`-folded, addresses dotted quads.  None when
+    ``fld`` has no column."""
+    def rows(column):
+        return column if positions is None else column[positions]
+
     if fld in NUMERIC_FIELDS:
-        values, counts = np.unique(getattr(cols, fld), return_counts=True)
+        values, counts = np.unique(rows(getattr(cols, fld)),
+                                   return_counts=True)
         return [stat_key(v) for v in values.tolist()], counts, False
-    if fld in ("src_ip", "dst_ip"):
-        column = getattr(cols, fld)
-        if isinstance(column, DictColumn):
-            tallies = np.bincount(column.codes, minlength=len(column.values))
-            present = np.flatnonzero(tallies)
-            return [column.values[i] for i in present.tolist()], \
-                tallies[present], False
-        values, counts = np.unique(column, return_counts=True)
-        return [u32_to_ip(int(v)) for v in values.tolist()], counts, True
-    if fld in _STRING_FIELDS:
-        column = getattr(cols, fld)
-        tallies = np.bincount(column.codes, minlength=len(column.values))
-        present = np.flatnonzero(tallies)
-        return [column.values[i] for i in present.tolist()], \
-            tallies[present], False
-    return None
+    if fld not in ("src_ip", "dst_ip") and fld not in _STRING_FIELDS:
+        return None
+    column = getattr(cols, fld)
+    if not isinstance(column, DictColumn):          # uint32 addresses
+        values, counts = np.unique(rows(column), return_counts=True)
+        return [u32_to_ip(v) for v in values.tolist()], counts, True
+    tallies = np.bincount(rows(column.codes), minlength=len(column.values))
+    present = np.flatnonzero(tallies)
+    return [column.values[i] for i in present.tolist()], tallies[present], \
+        False
 
 
 def _column_stats_from_pairs(fld: str, keys: List, counts: np.ndarray,
@@ -243,7 +244,7 @@ class SegmentStats:
         summaries: Dict[str, ColumnStats] = {}
         if cols is not None:
             for fld in SKETCHED_PACKET_FIELDS:
-                pairs = _keyed_value_counts(cols, fld)
+                pairs = keyed_value_counts(cols, fld)
                 if pairs is not None:
                     summaries[fld] = _column_stats_from_pairs(fld, *pairs)
             return cls(n=len(segment.records), columns=summaries)

@@ -15,9 +15,10 @@ planner/executors:
   without faulting whole segments in.
 
 All three tiers satisfy the same *SegmentSource* duck type the planner
-and executors already consume (``records``, ``columns()``, ``stats()``,
-``min_time``/``max_time``/``overlaps``, ``schema``, ``segment_id``),
-so queries treat a half-compacted store exactly like a quiesced one.
+and executors already consume (``records``, ``stored_at()``,
+``columns()``, ``stats()``, ``min_time``/``max_time``/``overlaps``,
+``schema``, ``segment_id``), so queries treat a half-compacted store
+exactly like a quiesced one.
 Bit-identity with a flat store holds because rids are assigned in
 global ingest order and every tiered query goes through the
 deterministic ``(time, rid)`` merge
@@ -43,12 +44,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import mmap
 import os
 import shutil
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, \
+    Tuple
 
 import numpy as np
 
@@ -60,7 +63,7 @@ from repro.datastore.stats import ColumnStats, SegmentStats, \
     merge_column_stats
 from repro.datastore.store import DataStore, ShardedDataStore, StoredRecord
 from repro.netsim.packets import _STRING_FIELDS, NUMERIC_FIELDS, \
-    DictColumn, PacketColumns, u32_to_ip
+    DictColumn, PacketColumns, PacketRecord, u32_to_ip
 
 COLD_FORMAT_VERSION = 1
 REGISTRY_NAME = "registry.json"
@@ -138,44 +141,62 @@ def _narrow(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
-def _write_blob(target: Path, stem: str, chunks: List[bytes]) -> None:
-    """Variable-length rows as one byte file plus an offsets array."""
-    offsets = np.zeros(len(chunks) + 1, dtype=np.uint64)
+def _write_blob(target: Path, stem: str, chunks: Iterable[bytes],
+                count: int) -> None:
+    """Variable-length rows as one byte file plus an offsets array.
+
+    ``chunks`` is consumed as a stream (``count`` rows of it), so a
+    caller can feed rows straight from other mmaps without holding a
+    blob's worth of bytes in the heap.
+    """
+    offsets = np.zeros(count + 1, dtype=np.uint64)
+    written = 0
     with (target / f"{stem}.bin").open("wb") as fh:
         at = 0
-        for index, chunk in enumerate(chunks):
+        for chunk in chunks:
             fh.write(chunk)
             at += len(chunk)
-            offsets[index + 1] = at
+            written += 1
+            offsets[written] = at
+    if written != count:
+        raise ValueError(f"{stem}: {written} rows written, {count} expected")
     np.save(target / f"{stem}.off.npy", offsets)
 
 
 class _BlobColumn:
-    """Read side of :func:`_write_blob`: ``[]`` returns row bytes."""
+    """Read side of :func:`_write_blob`: ``[]`` returns row bytes,
+    sliced straight from a read-only mmap of the byte file."""
 
     __slots__ = ("_data", "_offsets")
 
     def __init__(self, path: Path, offsets: np.ndarray):
         self._offsets = offsets
-        self._data = np.memmap(path, dtype=np.uint8, mode="r") \
-            if path.stat().st_size else np.zeros(0, dtype=np.uint8)
+        self._data = b""
+        if path.stat().st_size:
+            with path.open("rb") as fh:
+                self._data = mmap.mmap(fh.fileno(), 0,
+                                       access=mmap.ACCESS_READ)
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return [self[i] for i in range(*key.indices(len(self)))]
+            return self.rows(np.arange(*key.indices(len(self))))
         position = int(key)
         if position < 0:
             position += len(self)
         lo = int(self._offsets[position])
         hi = int(self._offsets[position + 1])
-        return bytes(self._data[lo:hi])
+        return self._data[lo:hi]
 
-    def __iter__(self):
-        for position in range(len(self)):
-            yield self[position]
+    def rows(self, positions: np.ndarray) -> List[bytes]:
+        """Row bytes at ``positions``: one offsets gather, then one
+        mmap slice per selected row (never the whole file)."""
+        data = self._data
+        offsets = self._offsets
+        return [data[lo:hi] for lo, hi in zip(
+            offsets[positions].tolist(), offsets[positions + 1].tolist())]
 
 
 def _meta_bytes(stored: StoredRecord) -> bytes:
@@ -237,11 +258,14 @@ def _stats_from_json(payload: Dict) -> SegmentStats:
 
 
 def _write_cold_files(target: Path, segment_id: int, cols: PacketColumns,
-                      rids: np.ndarray, metas: List[bytes]) -> Dict:
+                      rids: np.ndarray, metas: Iterable[bytes],
+                      payloads: Optional[Iterable[bytes]] = None) -> Dict:
     """Write one cold segment's data files; returns the manifest body.
 
     Rows must already be ``(time, rid)``-sorted — the manifest records
-    ``time_sorted`` so readers skip the ordering scan.
+    ``time_sorted`` so readers skip the ordering scan.  ``metas`` and
+    ``payloads`` (``cols.payload`` by default) are streamed, one row
+    each per rid.
     """
     n = len(rids)
     encodings: Dict[str, Dict] = {}
@@ -272,8 +296,10 @@ def _write_cold_files(target: Path, segment_id: int, cols: PacketColumns,
                 _narrow(np.asarray(column.codes)))
         encodings[fld] = {"kind": "dict", "file": f"{fld}.codes.npy",
                           "values": list(column.values)}
-    _write_blob(target, "payload", [bytes(p) for p in cols.payload])
-    _write_blob(target, "meta", metas)
+    if payloads is None:
+        payloads = map(bytes, cols.payload)
+    _write_blob(target, "payload", payloads, n)
+    _write_blob(target, "meta", metas, n)
     np.save(target / "rids.npy", np.asarray(rids, dtype=np.uint64))
     ts = np.asarray(cols.timestamp, dtype=np.float64)
     return {
@@ -322,10 +348,17 @@ def _sorted_cold_rows(segment) \
 # -- cold read side ----------------------------------------------------------
 
 
+#: rows per :meth:`ColdSegment.stored_at` call while iterating a whole
+#: cold segment (bounds the heap a full scan holds at once)
+_ITER_CHUNK = 4096
+
+
 class _ColdRecords:
     """A cold segment's ``records`` facade: length, truthiness, and
     on-demand :class:`StoredRecord` materialization — every accessor
-    the executors use, without a list of objects in RAM."""
+    the executors use, without a list of objects in RAM.  Every access
+    goes through :meth:`ColdSegment.stored_at`; an int index is a bulk
+    call of one row."""
 
     __slots__ = ("_segment",)
 
@@ -339,20 +372,37 @@ class _ColdRecords:
         return len(self._segment) > 0
 
     def __getitem__(self, key):
+        n = len(self._segment)
         if isinstance(key, slice):
-            return [self[i] for i in range(*key.indices(len(self)))]
-        segment = self._segment
+            return self._segment.stored_at(np.arange(*key.indices(n)))
         position = int(key)
         if position < 0:
-            position += len(segment)
-        meta = json.loads(segment.meta_blob[position])
-        return StoredRecord(rid=int(segment.rids[position]),
-                            record=segment.columns().record(position),
-                            tags=meta["t"] or {}, label=meta["l"])
+            position += n
+        if not 0 <= position < n:
+            raise IndexError(f"cold row {key} out of range")
+        return self._segment.stored_at(np.array([position]))[0]
 
-    def __iter__(self):
-        for position in range(len(self)):
-            yield self[position]
+    def __iter__(self) -> Iterator[StoredRecord]:
+        n = len(self._segment)
+        for lo in range(0, n, _ITER_CHUNK):
+            yield from self._segment.stored_at(
+                np.arange(lo, min(lo + _ITER_CHUNK, n)))
+
+
+def _ints(column: np.ndarray) -> List[int]:
+    """Python ints of a gathered numeric column, as ``int()`` of each
+    value would give (narrowed columns are already integral)."""
+    if column.dtype.kind == "f":
+        return [int(v) for v in column.tolist()]
+    return column.tolist()
+
+
+def _strings(column, positions: np.ndarray) -> List[str]:
+    """Decoded strings of a dict or uint32-address column."""
+    if isinstance(column, DictColumn):
+        values = column.values
+        return [values[code] for code in column.codes[positions].tolist()]
+    return list(map(u32_to_ip, column[positions].tolist()))
 
 
 class ColdSegment:
@@ -407,7 +457,10 @@ class ColdSegment:
     # -- SegmentSource surface ----------------------------------------------
 
     def _load(self, name: str) -> np.ndarray:
-        return np.load(self.directory / name, mmap_mode="r")
+        # A plain ndarray view of the memmap: the pages stay
+        # file-backed, and indexing skips the np.memmap subclass hooks.
+        return np.load(self.directory / name, mmap_mode="r").view(
+            np.ndarray)
 
     @property
     def rids(self) -> np.ndarray:
@@ -427,6 +480,39 @@ class ColdSegment:
         if self._records is None:
             self._records = _ColdRecords(self)
         return self._records
+
+    def stored_at(self, positions: np.ndarray) -> List[StoredRecord]:
+        """The rows at ``positions`` as StoredRecords, built in one
+        pass: each column is gathered once, and only the selected
+        payload and meta rows are read from their mmaps.  Meta rows
+        repeat heavily (a few tag sets cover most traffic), so their
+        distinct values parse as one JSON array and every row gets its
+        own copy of its tags.  Heap use is proportional to the
+        selection, never to the segment."""
+        positions = np.asarray(positions, dtype=np.int64)
+        if not len(positions):
+            return []
+        cols = self.columns()
+        packets = map(                   # PacketRecord's field order
+            PacketRecord,
+            cols.timestamp[positions].tolist(),
+            _strings(cols.src_ip, positions),
+            _strings(cols.dst_ip, positions),
+            *(_ints(getattr(cols, fld)[positions])
+              for fld in ("src_port", "dst_port", "protocol", "size",
+                          "payload_len", "flags", "ttl")),
+            cols.payload.rows(positions),
+            _ints(cols.flow_id[positions]),
+            _strings(cols.app, positions),
+            _strings(cols.label, positions),
+            _strings(cols.direction, positions))
+        metas = self.meta_blob.rows(positions)
+        distinct = list(dict.fromkeys(metas))
+        parsed = dict(zip(distinct, json.loads(
+            b"[" + b",".join(distinct) + b"]")))
+        return [StoredRecord(rid, packet, (meta["t"] or {}).copy(), meta["l"])
+                for rid, packet, meta in zip(self.rids[positions].tolist(),
+                                             packets, map(parsed.get, metas))]
 
     def columns(self) -> PacketColumns:
         if self._cols is None:
@@ -528,8 +614,11 @@ def _concat_ip(columns: List) -> object:
 
 
 def _merge_cold_rows(inputs: List[ColdSegment]) \
-        -> Tuple[PacketColumns, np.ndarray, List[bytes]]:
-    """All input rows merged into global (time, rid) order."""
+        -> Tuple[PacketColumns, np.ndarray, Iterator[bytes],
+                 Iterator[bytes]]:
+    """All input rows merged into global (time, rid) order: columns
+    (without payloads), rids, and the payload and meta rows as streams
+    read from the inputs' mmaps in merged order."""
     all_cols = [segment.columns() for segment in inputs]
     ts = np.concatenate([np.asarray(c.timestamp, dtype=np.float64)
                          for c in all_cols])
@@ -548,14 +637,18 @@ def _merge_cold_rows(inputs: List[ColdSegment]) \
     for fld in _STRING_FIELDS:
         kw[fld] = _concat_dict(
             [getattr(c, fld) for c in all_cols]).take(order)
-    payloads: List[bytes] = []
-    metas: List[bytes] = []
-    for segment, cols in zip(inputs, all_cols):
-        payloads.extend(cols.payload)
-        metas.extend(segment.meta_blob)
-    positions = order.tolist()
-    kw["payload"] = [payloads[i] for i in positions]
-    return PacketColumns(**kw), rids[order], [metas[i] for i in positions]
+    # merged row -> (input, row within it)
+    starts = np.cumsum([0] + [len(segment) for segment in inputs])
+    source = np.searchsorted(starts, order, side="right") - 1
+    local = order - starts[source]
+
+    def stream(blobs: List[_BlobColumn]) -> Iterator[bytes]:
+        for i, position in zip(source.tolist(), local.tolist()):
+            yield blobs[i][position]
+
+    return (PacketColumns(payload=None, **kw), rids[order],
+            stream([cols.payload for cols in all_cols]),
+            stream([segment.meta_blob for segment in inputs]))
 
 
 def _merged_stats(inputs: List) -> Optional[SegmentStats]:
@@ -862,8 +955,9 @@ class Compactor:
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
         self._chaos_step("cold-merge:write:columns")
-        cols, rids, metas = _merge_cold_rows(inputs)
-        manifest = _write_cold_files(tmp, segment_id, cols, rids, metas)
+        cols, rids, payloads, metas = _merge_cold_rows(inputs)
+        manifest = _write_cold_files(tmp, segment_id, cols, rids, metas,
+                                     payloads)
         self._chaos_step("cold-merge:write:stats")
         stats = _merged_stats(inputs)
         if stats is not None:

@@ -508,15 +508,15 @@ class SourceWindowFeaturizer:
         stays in the workers.
         """
         n = len(cols)
-        records = segment.records
         resp = np.zeros(n, dtype=bool)
         anyq = np.zeros(n, dtype=bool)
         tagged = np.zeros(n, dtype=bool)
         if self.config.use_payload_features:
             dns_rows = np.flatnonzero((cols.src_port == 53.0)
                                       | (cols.dst_port == 53.0))
-            for i in dns_rows.tolist():
-                tags = records[i].tags
+            for i, stored in zip(dns_rows.tolist(),
+                                 segment.stored_at(dns_rows)):
+                tags = stored.tags
                 if tags:
                     tagged[i] = True
                     if tags.get("dns_qr") == "response":
@@ -525,7 +525,7 @@ class SourceWindowFeaturizer:
                         anyq[i] = True
         curated_codes = None
         curated_values: List[str] = []
-        curated = list(map(attrgetter("label"), records))
+        curated = list(map(attrgetter("label"), segment.records))
         if any(curated):
             code_of: Dict[str, int] = {}
             curated_codes = np.fromiter(
@@ -577,9 +577,15 @@ class SourceWindowFeaturizer:
         #         {label: (first vote rid, count)}]
         groups: Dict[Tuple[float, str], List] = {}
         for (segment, _, _), partial in zip(blocks, partials):
-            records = segment.records
-            for example, vote_map, first_pos in zip(*partial):
-                first_rid = records[first_pos].rid
+            examples, vote_maps, first_positions = partial
+            wanted = sorted({*first_positions, *(
+                pos for vote_map in vote_maps
+                for pos, _ in vote_map.values())})
+            rid_at = dict(zip(wanted, (stored.rid for stored
+                                       in segment.stored_at(wanted))))
+            for example, vote_map, first_pos in zip(
+                    examples, vote_maps, first_positions):
+                first_rid = rid_at[first_pos]
                 key = (example.window_start, example.endpoint)
                 entry = groups.get(key)
                 if entry is None:
@@ -590,7 +596,7 @@ class SourceWindowFeaturizer:
                         entry[1] = first_rid
                 merged_votes = entry[2]
                 for label, (pos, count) in vote_map.items():
-                    vote_rid = records[pos].rid
+                    vote_rid = rid_at[pos]
                     known = merged_votes.get(label)
                     merged_votes[label] = (vote_rid, count) \
                         if known is None \
@@ -682,10 +688,11 @@ class SourceWindowFeaturizer:
         # Tag-derived DNS counters need the stored records' tag dicts.
         dns_resp = np.zeros(n_groups, dtype=np.int64)
         dns_any = np.zeros(n_groups, dtype=np.int64)
-        records = segment.records
         use_payload = self.config.use_payload_features
-        for i in np.flatnonzero(is_dns).tolist():
-            tags = records[positions[i]].tags
+        dns_idx = np.flatnonzero(is_dns)
+        dns_rows = segment.stored_at(positions[dns_idx])
+        for i, stored in zip(dns_idx.tolist(), dns_rows):
+            tags = stored.tags
             if use_payload and tags:
                 if tags.get("dns_qr") == "response":
                     dns_resp[inv[i]] += 1
@@ -731,10 +738,10 @@ class SourceWindowFeaturizer:
                                | dp64[in_idx]).tolist():
                 by_group[k >> 16].dports.add(k & 0xFFFF)
 
-        self._merge_votes(by_group, records, cols, positions, inv)
+        self._merge_votes(by_group, segment, cols, positions, inv)
 
     @staticmethod
-    def _merge_votes(by_group, records, cols, positions, inv) -> None:
+    def _merge_votes(by_group, segment, cols, positions, inv) -> None:
         """Per-example label votes, in packet order (tie-breaks match)."""
         label_values = cols.label.values
         code_votable = np.array(
@@ -742,14 +749,12 @@ class SourceWindowFeaturizer:
         )
         codes = cols.label.codes[positions]
         votable = code_votable[codes]
-        curated = list(map(attrgetter("label"), records))
+        curated = list(map(attrgetter("label"), segment.stored_at(positions)))
         if any(curated):
             votable = votable | np.fromiter(
-                (bool(curated[p]) for p in positions.tolist()),
-                dtype=bool, count=len(positions),
-            )
+                map(bool, curated), dtype=bool, count=len(positions))
         for i in np.flatnonzero(votable).tolist():
-            label = curated[positions[i]] or label_values[codes[i]]
+            label = curated[i] or label_values[codes[i]]
             if label and label != "benign":
                 votes = by_group[inv[i]].label_votes
                 votes[label] = votes.get(label, 0) + 1

@@ -77,8 +77,18 @@ def _values(result):
              dict(s.tags), s.label) for s in result]
 
 
+def _aggregates(store, query):
+    """Exact aggregate answers as (value, bound, source)."""
+    answers = [store.count_matching(query)]
+    for fld in ("src_ip", "dst_port"):
+        answers.append(store.distinct_count(query, fld))
+        answers.append(store.heavy_hitters(query, fld, k=3))
+    return [(a.value, a.bound, a.source) for a in answers]
+
+
 def _assert_identical(tiered, flat, query):
     assert _values(tiered.query(query)) == _values(flat.query(query))
+    assert _aggregates(tiered, query) == _aggregates(flat, query)
 
 
 @settings(max_examples=30, deadline=None)
