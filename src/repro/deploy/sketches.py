@@ -19,9 +19,35 @@ import numpy as np
 
 
 def _hash64(item: Hashable, salt: int) -> int:
+    """The sketch hash family: blake2b-64 of ``repr(item)`` followed by
+    the little-endian 32-bit salt.
+
+    Cold manifests persist count-min/HLL tables, so this function is an
+    on-disk format: golden values pin it in the tests.
+    """
     raw = repr(item).encode("utf-8") + struct.pack("<I", salt)
     return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(),
                           "little")
+
+
+#: ``struct.pack("<I", salt)`` for salts 0..63 (sketch rows and Bloom
+#: hash indexes)
+_SALTS = tuple(struct.pack("<I", salt) for salt in range(64))
+
+
+def _hashes(item: Hashable, n: int) -> List[int]:
+    """``[_hash64(item, salt) for salt in range(n)]``, encoding ``item``
+    once and hashing its bytes once: each salt resumes a copy of the
+    item's blake2b state."""
+    salts = _SALTS[:n] if n <= len(_SALTS) else \
+        [struct.pack("<I", salt) for salt in range(n)]
+    prefix = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=8)
+    out = []
+    for salt in salts:
+        state = prefix.copy()
+        state.update(salt)
+        out.append(int.from_bytes(state.digest(), "little"))
+    return out
 
 
 class CountMinSketch:
@@ -48,24 +74,23 @@ class CountMinSketch:
     def add(self, item: Hashable, count: int = 1) -> None:
         if count < 0:
             raise ValueError("count must be non-negative")
-        for row in range(self.depth):
-            col = _hash64(item, row) % self.width
-            self._table[row, col] += count
+        for row, value in enumerate(_hashes(item, self.depth)):
+            self._table[row, value % self.width] += count
         self.total += count
 
     def add_batch(self, items: Iterable[Hashable],
                   counts: Union[int, Sequence[int], None] = None) -> None:
         """Bulk update, equivalent to repeated :meth:`add`.
 
-        ``counts`` may be omitted (1 per item), a scalar applied to
-        every item, or a per-item sequence.  Each *distinct* item is
-        hashed once per row and the whole batch lands in the table as a
-        single scattered accumulate — the per-packet hot path for
-        store-fed sketch maintenance.
+        ``counts`` may be omitted (1 per item), an integral scalar
+        (``int`` or numpy integer) applied to every item, or a per-item
+        sequence.  Each *distinct* item is hashed once per row and the
+        whole batch lands in the table as a single scattered accumulate
+        — the per-packet hot path for store-fed sketch maintenance.
         """
         totals: Dict[Hashable, int] = {}
-        if counts is None or isinstance(counts, int):
-            step = 1 if counts is None else counts
+        if counts is None or isinstance(counts, (int, np.integer)):
+            step = 1 if counts is None else int(counts)
             if step < 0:
                 raise ValueError("count must be non-negative")
             for item in items:
@@ -79,19 +104,17 @@ class CountMinSketch:
             return
         n = len(totals)
         rows = np.repeat(np.arange(self.depth), n)
-        cols = np.empty(self.depth * n, dtype=np.int64)
+        hashes = np.array([_hashes(item, self.depth) for item in totals],
+                          dtype=np.uint64)
+        cols = (hashes % np.uint64(self.width)).astype(np.int64).T.ravel()
         amounts = np.fromiter(totals.values(), dtype=np.int64, count=n)
-        for row in range(self.depth):
-            cols[row * n:(row + 1) * n] = [
-                _hash64(item, row) % self.width for item in totals
-            ]
         np.add.at(self._table, (rows, cols), np.tile(amounts, self.depth))
         self.total += int(amounts.sum())
 
     def estimate(self, item: Hashable) -> int:
         return int(min(
-            self._table[row, _hash64(item, row) % self.width]
-            for row in range(self.depth)
+            self._table[row, value % self.width]
+            for row, value in enumerate(_hashes(item, self.depth))
         ))
 
     def merge(self, other: "CountMinSketch") -> None:
@@ -135,8 +158,8 @@ class BloomFilter:
         self.count = 0
 
     def add(self, item: Hashable) -> None:
-        for salt in range(self.n_hashes):
-            self._bits[_hash64(item, salt) % self.n_bits] = True
+        for value in _hashes(item, self.n_hashes):
+            self._bits[value % self.n_bits] = True
         self.count += 1
 
     def add_batch(self, items: Iterable[Hashable]) -> None:
@@ -152,8 +175,8 @@ class BloomFilter:
             distinct[item] = None
         if distinct:
             positions = np.fromiter(
-                (_hash64(item, salt) % self.n_bits
-                 for item in distinct for salt in range(self.n_hashes)),
+                (value % self.n_bits for item in distinct
+                 for value in _hashes(item, self.n_hashes)),
                 dtype=np.int64, count=len(distinct) * self.n_hashes,
             )
             self._bits[positions] = True
@@ -161,8 +184,8 @@ class BloomFilter:
 
     def __contains__(self, item: Hashable) -> bool:
         return all(
-            self._bits[_hash64(item, salt) % self.n_bits]
-            for salt in range(self.n_hashes)
+            self._bits[value % self.n_bits]
+            for value in _hashes(item, self.n_hashes)
         )
 
     def merge(self, other: "BloomFilter") -> None:

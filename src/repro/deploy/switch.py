@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.capture.metadata import MetadataExtractor
 from repro.chaos.faults import FaultKind, MitigationError
@@ -32,6 +33,9 @@ from repro.deploy.sketches import BloomFilter, CountMinSketch
 from repro.learning.features import FeatureConfig, WindowExample, \
     SourceWindowFeaturizer
 from repro.netsim.packets import PacketRecord
+
+#: the tags passed for packets whose counters never read them
+_NO_TAGS: Mapping[str, str] = MappingProxyType({})
 
 
 @dataclass
@@ -107,6 +111,9 @@ class EmulatedSwitch:
         self._evaluated: set = set()
         self.detections: List[Detection] = []
         self.packets_processed = 0
+        #: packets sensed (sketched) but left out of features because
+        #: their window's key table was full (``max_tracked_keys``)
+        self.untracked_packets = 0
         self.mitigated_endpoints: Dict[str, float] = {}
         #: permanent record (endpoint -> first effective time), survives
         #: mitigation expiry; consumed by testbed collateral accounting.
@@ -140,6 +147,8 @@ class EmulatedSwitch:
             metrics = obs.metrics
             self._m_packets = metrics.counter(
                 "repro_switch_packets_sensed_total")
+            self._m_untracked = metrics.counter(
+                "repro_switch_untracked_packets_total")
             self._m_lookups = metrics.counter(
                 "repro_switch_table_lookups_total")
             self._m_misses = metrics.counter(
@@ -159,6 +168,15 @@ class EmulatedSwitch:
     # -- sense ---------------------------------------------------------------
 
     def _on_packets(self, packets: List[PacketRecord]) -> None:
+        """Sense one delivered batch.
+
+        Per packet: endpoint and window bucketing and the featurizer's
+        counters.  Per batch: one count-min and one Bloom update per
+        distinct endpoint (count-min adds commute and Bloom bits are
+        idempotent, so the state equals per-packet updates).  Tags are
+        extracted only for DNS packets, the only ones whose counters
+        read them, and only when payload features are on.
+        """
         if self.obs is not None:
             self._m_packets.inc(len(packets))
         if self.fault_injector is not None and packets and \
@@ -173,25 +191,46 @@ class EmulatedSwitch:
             self.byte_sketch._table[row, col] += delta
             self.register_corruptions += 1
         window_s = self.config.window_s
+        max_keys = self.config.max_tracked_keys
+        read_tags = self._featurizer.config.use_payload_features
+        extract = self._metadata.extract
+        accumulate = self._featurizer._accumulate
+        buckets = self._buckets
+        endpoints: List[str] = []
+        sizes: List[int] = []
+        untracked = 0
         for packet in packets:
-            self.packets_processed += 1
             if packet.direction == "in":
                 endpoint = packet.src_ip
             else:
                 endpoint = packet.dst_ip
-            self.byte_sketch.add(endpoint, packet.size)
-            self.seen_filter.add(endpoint)
+            endpoints.append(endpoint)
+            sizes.append(packet.size)
             window_start = math.floor(packet.timestamp / window_s) * window_s
-            bucket = self._buckets.setdefault(window_start, {})
+            bucket = buckets.get(window_start)
+            if bucket is None:
+                bucket = buckets[window_start] = {}
             example = bucket.get(endpoint)
             if example is None:
-                if len(bucket) >= self.config.max_tracked_keys:
-                    continue        # key table full: untracked this window
+                if len(bucket) >= max_keys:
+                    untracked += 1  # key table full: untracked this window
+                    continue
                 example = WindowExample(window_start=window_start,
                                         endpoint=endpoint)
                 bucket[endpoint] = example
-            tags = self._metadata.extract(packet)
-            self._featurizer._accumulate(example, packet, tags)
+            if read_tags and (packet.src_port == 53
+                              or packet.dst_port == 53):
+                tags = extract(packet)
+            else:
+                tags = _NO_TAGS
+            accumulate(example, packet, tags)
+        self.packets_processed += len(packets)
+        self.byte_sketch.add_batch(endpoints, sizes)
+        self.seen_filter.add_batch(endpoints)
+        if untracked:
+            self.untracked_packets += untracked
+            if self.obs is not None:
+                self._m_untracked.inc(untracked)
 
     # -- infer + react ---------------------------------------------------------
 

@@ -123,7 +123,10 @@ class PacketRecord:
         )
 
     def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and not bool(self.flags & TcpFlags.ACK)
+        # int bit tests: TcpFlags members would route every call through
+        # enum's __and__ (SYN = 0x02, ACK = 0x10)
+        flags = self.flags
+        return bool(flags & 0x02) and not flags & 0x10
 
 
 def _spread_times(start: float, end: float, n: int) -> List[float]:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.deploy.sketches import BloomFilter, CountMinSketch, HyperLogLog
+from repro.deploy.sketches import BloomFilter, CountMinSketch, \
+    HyperLogLog, _hash64, _hashes
 
 
 class TestCountMin:
@@ -182,3 +183,46 @@ class TestAddBatch:
         for item in items:
             sequential.add(item)
         assert np.array_equal(batch._registers, sequential._registers)
+
+    def test_countmin_numpy_scalar_count(self):
+        numpy_step = CountMinSketch(width=64, depth=3)
+        python_step = CountMinSketch(width=64, depth=3)
+        numpy_step.add_batch(["a", "b", "a"], np.int64(2))
+        python_step.add_batch(["a", "b", "a"], 2)
+        assert np.array_equal(numpy_step._table, python_step._table)
+        assert numpy_step.total == python_step.total == 6
+        assert type(numpy_step.total) is int
+        with pytest.raises(ValueError):
+            numpy_step.add_batch(["a"], np.int32(-1))
+
+
+class TestHashFamily:
+    """``_hash64`` is an on-disk format: cold manifests persist count-min
+    and HLL tables built with it, so its values are pinned."""
+
+    GOLDEN = {
+        ("10.0.0.1", 0): 1761636994827203272,
+        ("10.0.0.1", 1): 1557697718491271126,
+        ("10.0.0.1", 6): 9401807731865005993,
+        ("10.0.0.1", 0xC0FFEE): 13797587149082723395,
+        (42, 0): 6706393213219558471,
+        (42, 1): 7308776627584554022,
+        (42, 6): 12661088189997644996,
+        (42, 0xC0FFEE): 14095044006648676183,
+        (1.5, 0): 8775390414429136970,
+        (1.5, 1): 18058207739560594241,
+        (1.5, 6): 4289733173267732739,
+        (1.5, 0xC0FFEE): 16525085330528922198,
+    }
+
+    def test_golden_values(self):
+        for (item, salt), value in self.GOLDEN.items():
+            assert _hash64(item, salt) == value, (item, salt)
+
+    @given(item=st.one_of(st.text(max_size=20), st.integers(),
+                          st.floats(allow_nan=False)),
+           n=st.sampled_from([0, 1, 3, 7, 64, 70]))
+    @settings(max_examples=80, deadline=None)
+    def test_hashes_equal_per_salt_hash64(self, item, n):
+        assert _hashes(item, n) == [_hash64(item, salt)
+                                    for salt in range(n)]

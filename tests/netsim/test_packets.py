@@ -61,6 +61,15 @@ def test_tcp_flags_syn_and_fin():
         _finished_flow(protocol=17)))
 
 
+def test_is_syn_matches_tcp_flag_members():
+    record = synthesize_packets(_finished_flow())[0]
+    for flags in range(256):
+        record.flags = flags
+        expected = bool(TcpFlags(flags) & TcpFlags.SYN) and \
+            not TcpFlags(flags) & TcpFlags.ACK
+        assert record.is_syn() is expected, flags
+
+
 def test_udp_has_no_flags_and_smaller_header():
     packets = synthesize_packets(_finished_flow(size=3000, protocol=17))
     assert all(p.flags == 0 for p in packets)
