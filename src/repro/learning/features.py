@@ -17,7 +17,6 @@ exotic statistics.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -80,29 +79,6 @@ class WindowExample:
     #: (used when labeling from curated store labels, not ground truth)
     label_votes: Dict[str, int] = field(default_factory=dict)
 
-    def merge(self, other: "WindowExample") -> None:
-        """Fold another partial aggregation of the same (window,
-        endpoint) group into this one.  Counters add, sets union, votes
-        add; callers that need the serial vote *insertion order* (the
-        ``max`` tie-break) must merge votes themselves — see
-        :meth:`SourceWindowFeaturizer.examples_merged`."""
-        self.pkts += other.pkts
-        self.bytes += other.bytes
-        self.udp_pkts += other.udp_pkts
-        self.dns_pkts += other.dns_pkts
-        self.dns_responses += other.dns_responses
-        self.dns_any += other.dns_any
-        self.dsts |= other.dsts
-        self.dports |= other.dports
-        self.syns += other.syns
-        self.bytes_in += other.bytes_in
-        self.bytes_out += other.bytes_out
-        self.ttl_sum += other.ttl_sum
-        self.port53_src += other.port53_src
-        self.wellknown_dport += other.wellknown_dport
-        for label, count in other.label_votes.items():
-            self.label_votes[label] = self.label_votes.get(label, 0) + count
-
     def vector(self, window_s: float) -> List[float]:
         pkts = max(self.pkts, 1)
         dns = max(self.dns_pkts, 1)
@@ -130,28 +106,60 @@ WELL_KNOWN = {22, 23, 25, 53, 80, 123, 143, 443, 445, 587, 993, 3306,
 _WELL_KNOWN_ARR = np.array(sorted(WELL_KNOWN), dtype=np.float64)
 
 
-# -- block-local aggregation (module-level: shipped to worker processes) ------
+# -- per-segment aggregation (module-level: shipped to worker processes) ------
 #
-# The parallel featurize path splits aggregation into a records-free half
-# that runs on a bare column block inside a worker (_block_examples) and a
-# parent-side merge that reconstructs the serial table order from global
-# record ids (SourceWindowFeaturizer.examples_merged).  Everything a block
-# needs from the stored records — DNS tag verdicts, curated labels — is
-# precomputed by the parent into flat arrays and shipped with the block.
+# The vectorized featurize path reduces every segment's column block
+# independently with the records-free _block_examples — in a worker
+# process or serially — and one parent-side merge sums the partial
+# aggregates and orders groups by their smallest record id
+# (SourceWindowFeaturizer.examples_merged).  Everything a block needs
+# from the stored records — record ids, DNS tag verdicts, curated
+# labels — is precomputed by the parent into flat arrays and shipped
+# with the block.
+
+#: the columns of a partial's counts: WindowExample's counter fields, in
+#: field order (``dsts`` and ``dports`` sit between the sixth and seventh)
+_COUNTERS = ("pkts", "bytes", "udp_pkts", "dns_pkts", "dns_responses",
+             "dns_any", "syns", "bytes_in", "bytes_out", "ttl_sum",
+             "port53_src", "wellknown_dport")
+_NO_RID = np.iinfo(np.uint64).max
 
 
-def _block_plan(cols, time_range, window_s):
-    """Validate + group one column block; mirrors ``_segment_plan`` but
-    needs no segment.  Returns the plan tuple, ``()`` when the time
-    range selects nothing, or None when the block resists vectorized
-    aggregation."""
+def _min_per_group(inv, n_groups, values) -> np.ndarray:
+    out = np.full(n_groups, _NO_RID, dtype=np.uint64)
+    np.minimum.at(out, inv, values)
+    return out
+
+
+def _block_examples(cols, time_range, window_s, use_payload, rids,
+                    resp_mask, any_mask, tagged_mask,
+                    curated_codes, curated_values):
+    """Aggregate one column block into partial (window, endpoint) groups.
+
+    ``rids`` are the rows' record ids, ``resp_mask``/``any_mask``/
+    ``tagged_mask`` per-row DNS tag verdicts and ``curated_codes``/
+    ``curated_values`` the dict-encoded curated labels (code -1 = none),
+    all precomputed from the stored records by the parent.
+
+    Returns None when the block needs the record path (non-canonical
+    addresses, NaN timestamps, window ids or ports that do not pack),
+    ``()`` when the time range selects nothing, and otherwise
+    ``(keys, counts, first_rid, dsts, dports, votes)`` indexed by local
+    group ``g``: the packed ``(window index + 2**31) << 32 | endpoint``
+    keys, the ``_COUNTERS`` as int64 columns, each group's smallest
+    record id, the distinct inbound ``g << 32 | dst`` and
+    ``g << 16 | dport`` pairs, and ``(g, label, smallest rid, count)``
+    per distinct non-benign label vote.
+    """
     if not isinstance(cols.src_ip, np.ndarray) \
             or not isinstance(cols.dst_ip, np.ndarray):
         return None
     ts = cols.timestamp
     if np.isnan(ts).any():
         return None
-    if time_range is not None:
+    if time_range is None:
+        positions = np.arange(len(ts))
+    else:
         start, end = time_range
         sel = np.ones(len(ts), dtype=bool)
         if start is not None:
@@ -159,140 +167,85 @@ def _block_plan(cols, time_range, window_s):
         if end is not None:
             sel &= ts <= end
         positions = np.flatnonzero(sel)
-    else:
-        positions = np.arange(len(ts))
     if len(positions) == 0:
         return ()
 
     widx = np.floor(ts[positions] / window_s)
     if not (widx.min() >= -(1 << 31) and widx.max() < (1 << 31)):
-        return None
-    dports = cols.dst_port[positions].astype(np.int64)
-    if len(dports) and not (dports.min() >= 0 and dports.max() < (1 << 16)):
-        return None
+        return None                   # window ids must pack into 32 bits
+    dp = cols.dst_port[positions]
+    if not (dp.min() >= 0 and dp.max() < (1 << 16)):
+        return None                   # ports must pack into 16 bits
 
     in_code = cols.direction.code_of("in")
     dir_in = (cols.direction.codes[positions] == in_code) \
         if in_code is not None else np.zeros(len(positions), dtype=bool)
-    src = cols.src_ip[positions].astype(np.uint64)
     dst = cols.dst_ip[positions].astype(np.uint64)
-    endpoint = np.where(dir_in, src, dst)
-    group_key = ((widx.astype(np.int64) + (1 << 31)).astype(np.uint64)
-                 << 32) | endpoint
-    uniq, first, inv = np.unique(group_key, return_index=True,
-                                 return_inverse=True)
-    return (positions, widx, dir_in, dst, inv,
-            np.argsort(first, kind="stable"), first, uniq)
+    endpoint = np.where(dir_in, cols.src_ip[positions].astype(np.uint64),
+                        dst)
+    keys, inv = np.unique(
+        ((widx.astype(np.int64) + (1 << 31)).astype(np.uint64) << 32)
+        | endpoint, return_inverse=True)
+    n_groups = len(keys)
+    row_rids = rids[positions]
 
-
-def _block_examples(cols, time_range, window_s, use_payload,
-                    resp_mask, any_mask, tagged_mask,
-                    curated_codes, curated_values):
-    """Aggregate one column block into partial examples (records-free).
-
-    ``resp_mask``/``any_mask``/``tagged_mask`` are per-row DNS tag
-    verdicts and ``curated_codes``/``curated_values`` the dict-encoded
-    curated labels (code -1 = none), both precomputed from the stored
-    records by the parent.
-
-    Returns ``(examples, votes, first_positions)`` — examples in
-    first-occurrence order with *empty* ``label_votes``, per-example
-    vote maps ``{label: (first_row, count)}``, and each group's first
-    row index — or None when the block needs the record path.
-    """
-    plan = _block_plan(cols, time_range, window_s)
-    if plan is None:
-        return None
-    if plan == ():
-        return ([], [], [])
-    (positions, widx, dir_in, dst, inv, order, first, uniq) = plan
-    n_groups = len(uniq)
     sizes = cols.size[positions]
     sp = cols.src_port[positions]
-    dp = cols.dst_port[positions]
-
-    def per_group(weights):
-        return np.bincount(inv, weights=weights, minlength=n_groups)
-
-    pkts = np.bincount(inv, minlength=n_groups)
-    bytes_total = per_group(sizes)
-    ttl_sum = per_group(cols.ttl[positions])
-    udp = per_group(cols.protocol[positions] == float(Protocol.UDP))
     is_dns = (sp == 53) | (dp == 53)
-    dns_pkts = per_group(is_dns)
-    bytes_in = per_group(sizes * dir_in)
-    bytes_out = per_group(sizes * ~dir_in)
     flags = cols.flags[positions].astype(np.int64)
-    syns = per_group((flags & int(TcpFlags.SYN) != 0)
-                     & (flags & int(TcpFlags.ACK) == 0))
-    wellknown = per_group(np.isin(dp, _WELL_KNOWN_ARR) & dir_in)
-    port53_src = per_group((sp == 53) & dir_in)
+    # Tagged DNS rows count from their tag verdicts; untagged (or
+    # payload-blind) DNS falls back to the port heuristic.
+    tagged = tagged_mask[positions] if use_payload \
+        else np.zeros(len(positions), dtype=bool)
+    weights = (
+        None,                                             # pkts
+        sizes,                                            # bytes
+        cols.protocol[positions] == float(Protocol.UDP),  # udp_pkts
+        is_dns,                                           # dns_pkts
+        is_dns & np.where(tagged, resp_mask[positions],
+                          dir_in & (sp == 53)),           # dns_responses
+        is_dns & tagged & any_mask[positions],            # dns_any
+        (flags & int(TcpFlags.SYN) != 0)
+        & (flags & int(TcpFlags.ACK) == 0),               # syns
+        sizes * dir_in,                                   # bytes_in
+        sizes * ~dir_in,                                  # bytes_out
+        cols.ttl[positions],                              # ttl_sum
+        (sp == 53) & dir_in,                              # port53_src
+        np.isin(dp, _WELL_KNOWN_ARR) & dir_in,            # wellknown_dport
+    )
+    counts = np.stack([np.bincount(inv, weights=w, minlength=n_groups)
+                       for w in weights], axis=1).astype(np.int64)
 
-    # DNS tag counters, fully vectorized off the precomputed verdicts;
-    # untagged (or payload-blind) DNS falls back to the port heuristic.
-    tagged = (tagged_mask[positions] if use_payload
-              else np.zeros(len(positions), dtype=bool))
-    heuristic = dir_in & (sp == 53)
-    dns_resp = per_group(is_dns & ((tagged & resp_mask[positions])
-                                   | (~tagged & heuristic)))
-    dns_any = per_group(is_dns & tagged & any_mask[positions])
+    inbound = np.flatnonzero(dir_in)
+    group_in = inv[inbound].astype(np.uint64)
+    dsts = np.unique((group_in << 32) | dst[inbound])
+    dports = np.unique((group_in << 16) | dp[inbound].astype(np.uint64))
 
-    examples: List[WindowExample] = [None] * n_groups
-    first_positions: List[int] = [0] * n_groups
-    for j in order.tolist():
-        example = WindowExample(
-            window_start=float(widx[first[j]]) * window_s,
-            endpoint=u32_to_ip(int(uniq[j] & 0xFFFFFFFF)))
-        example.pkts = int(pkts[j])
-        example.bytes = int(bytes_total[j])
-        example.ttl_sum = int(ttl_sum[j])
-        example.udp_pkts = int(udp[j])
-        example.dns_pkts = int(dns_pkts[j])
-        example.dns_responses = int(dns_resp[j])
-        example.dns_any = int(dns_any[j])
-        example.bytes_in = int(bytes_in[j])
-        example.bytes_out = int(bytes_out[j])
-        example.syns = int(syns[j])
-        example.wellknown_dport = int(wellknown[j])
-        example.port53_src = int(port53_src[j])
-        examples[j] = example
-        first_positions[j] = int(positions[first[j]])
-
-    in_idx = np.flatnonzero(dir_in)
-    if len(in_idx):
-        inv64 = inv.astype(np.uint64)
-        for k in np.unique((inv64[in_idx] << 32) | dst[in_idx]).tolist():
-            examples[k >> 32].dsts.add(u32_to_ip(k & 0xFFFFFFFF))
-        dp64 = dp.astype(np.uint64)
-        for k in np.unique((inv64[in_idx] << 16) | dp64[in_idx]).tolist():
-            examples[k >> 16].dports.add(k & 0xFFFF)
-
-    # Label votes as {label: (first_row, count)}: the parent needs the
-    # first-occurrence row to rebuild the serial vote insertion order.
-    votes: List[Dict[str, Tuple[int, int]]] = [dict() for _ in range(n_groups)]
-    label_values = cols.label.values
-    code_votable = np.array(
-        [v != "" and v != "benign" for v in label_values], dtype=bool)
-    codes = cols.label.codes[positions]
-    votable = code_votable[codes]
+    # A row votes with its curated label, else its packet label; one id
+    # per distinct label string (a label may sit in both tables).
+    table = list(cols.label.values) + list(curated_values)
+    label_ids: Dict[str, int] = {}
+    id_of = np.array([label_ids.setdefault(v, len(label_ids))
+                      for v in table], dtype=np.int64)
+    names = list(label_ids)
+    codes = cols.label.codes[positions].astype(np.int64)
     if curated_codes is not None:
-        votable = votable | (curated_codes[positions] >= 0)
-    for i in np.flatnonzero(votable).tolist():
-        pos = int(positions[i])
-        label = ""
-        if curated_codes is not None and curated_codes[pos] >= 0:
-            label = curated_values[curated_codes[pos]]
-        label = label or label_values[codes[i]]
-        if label and label != "benign":
-            group_votes = votes[inv[i]]
-            entry = group_votes.get(label)
-            group_votes[label] = (pos, 1) if entry is None \
-                else (entry[0], entry[1] + 1)
-
-    ordered = order.tolist()
-    return ([examples[j] for j in ordered],
-            [votes[j] for j in ordered],
-            [first_positions[j] for j in ordered])
+        curated = curated_codes[positions]
+        codes = np.where(curated >= 0, curated + len(cols.label.values),
+                         codes)
+    label = id_of[codes]
+    votable = np.array([v != "" and v != "benign" for v in names],
+                       dtype=bool)
+    rows = np.flatnonzero(votable[label])
+    pairs, pair_inv = np.unique(inv[rows] * len(names) + label[rows],
+                                return_inverse=True)
+    votes = list(zip(
+        (pairs // len(names)).tolist(),
+        [names[i] for i in (pairs % len(names)).tolist()],
+        _min_per_group(pair_inv, len(pairs), row_rids[rows]).tolist(),
+        np.bincount(pair_inv, minlength=len(pairs)).tolist()))
+    return (keys, counts, _min_per_group(inv, n_groups, row_rids),
+            dsts, dports, votes)
 
 
 class SourceWindowFeaturizer:
@@ -311,13 +264,19 @@ class SourceWindowFeaturizer:
     def aggregate(self, packets_with_tags: Iterable[Tuple[PacketRecord,
                                                           Dict[str, str]]]) \
             -> List[WindowExample]:
+        return self._bucket((packet, tags, None)
+                            for packet, tags in packets_with_tags)
+
+    def _bucket(self, triples: Iterable[Tuple[PacketRecord, Dict[str, str],
+                                              Optional[str]]]) \
+            -> List[WindowExample]:
+        """Record-at-a-time (window, endpoint) bucketing of ``(packet,
+        tags, label)`` triples; groups in first-occurrence order."""
         window_s = self.config.window_s
         table: Dict[Tuple[float, str], WindowExample] = {}
-        for packet, tags in packets_with_tags:
-            if packet.direction == "in":
-                endpoint, campus_side = packet.src_ip, packet.dst_ip
-            else:
-                endpoint, campus_side = packet.dst_ip, packet.src_ip
+        for packet, tags, label in triples:
+            endpoint = packet.src_ip if packet.direction == "in" \
+                else packet.dst_ip
             window_start = math.floor(packet.timestamp / window_s) * window_s
             key = (window_start, endpoint)
             example = table.get(key)
@@ -325,7 +284,7 @@ class SourceWindowFeaturizer:
                 example = WindowExample(window_start=window_start,
                                         endpoint=endpoint)
                 table[key] = example
-            self._accumulate(example, packet, tags)
+            self._accumulate(example, packet, tags, label)
         return [e for e in table.values()
                 if e.pkts >= self.config.min_packets]
 
@@ -420,23 +379,16 @@ class SourceWindowFeaturizer:
         or restored by import), which is how a standalone exported
         store stays trainable.
 
-        When every packet segment exposes a columnar block with uint32
-        address columns, aggregation runs vectorized over the columns
-        (:meth:`examples_columnar`); otherwise it falls back to the
-        record-at-a-time pass (:meth:`examples_from_records`).  Both
-        produce identical examples in identical order.
-
-        Sharded stores — and any store when ``executor`` carries live
-        workers — go through :meth:`examples_merged`, which aggregates
-        per segment (in worker processes when possible) and merges on
-        global record ids; it too is bit-identical to the serial paths.
+        Aggregation runs vectorized per segment and merges on record
+        ids (:meth:`examples_merged`; in worker processes when
+        ``executor`` has live workers).  When any segment resists
+        vectorization it falls back to the record-at-a-time reference
+        (:meth:`examples_from_records`).  Either way the examples, their
+        order and their label-vote order are those of a flat store fed
+        the same batches: independent of segment layout, compaction,
+        shard count and worker count.
         """
-        if getattr(store, "shards", None) is not None or (
-                executor is not None and executor.parallel):
-            examples = self.examples_merged(store, time_range,
-                                            executor=executor)
-        else:
-            examples = self.examples_columnar(store, time_range)
+        examples = self.examples_merged(store, time_range, executor=executor)
         if examples is None:
             examples = self.examples_from_records(store, time_range)
         return self.to_dataset(examples, ground_truth=ground_truth,
@@ -449,63 +401,18 @@ class SourceWindowFeaturizer:
         stored = store.query(Query(collection="packets",
                                    time_range=time_range,
                                    order_by_time=False))
-        window_s = self.config.window_s
-        table: Dict[Tuple[float, str], WindowExample] = {}
-        for s in stored:
-            packet = s.record
-            if packet.direction == "in":
-                endpoint = packet.src_ip
-            else:
-                endpoint = packet.dst_ip
-            window_start = math.floor(packet.timestamp / window_s) \
-                * window_s
-            key = (window_start, endpoint)
-            example = table.get(key)
-            if example is None:
-                example = WindowExample(window_start=window_start,
-                                        endpoint=endpoint)
-                table[key] = example
-            self._accumulate(example, packet, s.tags,
-                             label=s.label or packet.label)
-        return [e for e in table.values()
-                if e.pkts >= self.config.min_packets]
-
-    def examples_columnar(self, store,
-                          time_range: Optional[Tuple] = None) \
-            -> Optional[List[WindowExample]]:
-        """Vectorized aggregation straight off the segment columns.
-
-        Returns None when any segment resists columnar processing
-        (no column block, non-canonical addresses, NaN timestamps,
-        out-of-range windows or ports) — the caller then takes the
-        record path.  Validation happens before any accumulation so a
-        late fallback never observes a half-built table.
-        """
-        segments = [s for s in store.segments("packets") if s.records]
-        plans = []
-        for segment in segments:
-            plan = self._segment_plan(segment, time_range)
-            if plan is None:
-                return None
-            plans.append(plan)
-
-        table: Dict[Tuple[float, str], WindowExample] = {}
-        for segment, plan in zip(segments, plans):
-            if plan:
-                self._merge_segment(table, segment, plan)
-        return [e for e in table.values()
-                if e.pkts >= self.config.min_packets]
-
-    # -- parallel / sharded aggregation ---------------------------------------
+        return self._bucket((s.record, s.tags, s.label or s.record.label)
+                            for s in stored)
 
     def _segment_aux(self, segment, cols):
         """Records-derived inputs for :func:`_block_examples`.
 
         Runs in the parent (only it holds the stored records): per-row
-        DNS tag verdicts for the tag-aware counters and dict-encoded
-        curated labels.  Cost is one pass over the DNS rows plus one
-        attribute sweep for curated labels — the heavy bincount math
-        stays in the workers.
+        record ids, DNS tag verdicts for the tag-aware counters and
+        dict-encoded curated labels.  Cost is one pass over the DNS rows
+        plus one attribute sweep for curated labels and record ids (a
+        cold segment keeps its ids as a column) — the heavy bincount
+        math stays in the kernel.
         """
         n = len(cols)
         resp = np.zeros(n, dtype=bool)
@@ -523,9 +430,14 @@ class SourceWindowFeaturizer:
                         resp[i] = True
                     if tags.get("dns_qtype") == "ANY":
                         anyq[i] = True
+        records = segment.records
+        rids = getattr(segment, "rids", None)
+        if rids is None:
+            rids = np.fromiter(map(attrgetter("rid"), records),
+                               dtype=np.uint64, count=n)
         curated_codes = None
         curated_values: List[str] = []
-        curated = list(map(attrgetter("label"), segment.records))
+        curated = list(map(attrgetter("label"), records))
         if any(curated):
             code_of: Dict[str, int] = {}
             curated_codes = np.fromiter(
@@ -533,31 +445,30 @@ class SourceWindowFeaturizer:
                  for c in curated),
                 dtype=np.int64, count=n)
             curated_values = list(code_of)
-        return (resp, anyq, tagged, curated_codes, curated_values)
+        return (rids, resp, anyq, tagged, curated_codes, curated_values)
 
     def examples_merged(self, store, time_range: Optional[Tuple] = None,
                         executor=None) -> Optional[List[WindowExample]]:
-        """Per-segment aggregation merged on global record ids.
+        """Per-segment vectorized aggregation merged on record ids.
 
-        Each segment's column block is reduced independently — in
-        worker processes when ``executor`` has live workers, serially
-        otherwise — and the partial examples are merged so that group
-        order and vote insertion order follow the store-wide *first
-        record id* of each group.  For an unsharded store that equals
-        :meth:`examples_columnar` exactly; for a sharded store (whose
-        segment list interleaves record ids shard-major) it equals the
-        unsharded serial reference on the same batches.
+        Each segment's column block is reduced by :func:`_block_examples`
+        — in worker processes when ``executor`` has live workers,
+        serially otherwise — and the partials are summed per (window,
+        endpoint) group.  Groups come out in order of their smallest
+        record id and each group's label votes in order of their
+        smallest record id, exactly as :meth:`examples_from_records`
+        visits records, whatever the segment layout.
 
         Returns None when any segment resists columnar processing.
         """
-        segments = [s for s in store.segments("packets") if s.records]
         blocks = []
-        for segment in segments:
+        for segment in store.segments("packets"):
+            if not segment.records:
+                continue
             cols = segment.columns()
-            if cols is None or not isinstance(cols.src_ip, np.ndarray) \
-                    or not isinstance(cols.dst_ip, np.ndarray):
+            if cols is None:
                 return None
-            blocks.append((segment, cols, self._segment_aux(segment, cols)))
+            blocks.append((cols, self._segment_aux(segment, cols)))
 
         window_s = self.config.window_s
         use_payload = self.config.use_payload_features
@@ -569,192 +480,65 @@ class SourceWindowFeaturizer:
         if partials is None:
             partials = [_block_examples(cols, time_range, window_s,
                                         use_payload, *aux)
-                        for _, cols, aux in blocks]
+                        for cols, aux in blocks]
         if any(p is None for p in partials):
             return None
+        partials = [p for p in partials if p]
+        if not partials:
+            return []
 
-        # key -> [merged example, group-wide first rid,
-        #         {label: (first vote rid, count)}]
-        groups: Dict[Tuple[float, str], List] = {}
-        for (segment, _, _), partial in zip(blocks, partials):
-            examples, vote_maps, first_positions = partial
-            wanted = sorted({*first_positions, *(
-                pos for vote_map in vote_maps
-                for pos, _ in vote_map.values())})
-            rid_at = dict(zip(wanted, (stored.rid for stored
-                                       in segment.stored_at(wanted))))
-            for example, vote_map, first_pos in zip(
-                    examples, vote_maps, first_positions):
-                first_rid = rid_at[first_pos]
-                key = (example.window_start, example.endpoint)
-                entry = groups.get(key)
-                if entry is None:
-                    groups[key] = entry = [example, first_rid, {}]
-                else:
-                    entry[0].merge(example)
-                    if first_rid < entry[1]:
-                        entry[1] = first_rid
-                merged_votes = entry[2]
-                for label, (pos, count) in vote_map.items():
-                    vote_rid = rid_at[pos]
-                    known = merged_votes.get(label)
-                    merged_votes[label] = (vote_rid, count) \
-                        if known is None \
-                        else (min(known[0], vote_rid), known[1] + count)
+        keys, inv = np.unique(np.concatenate([p[0] for p in partials]),
+                              return_inverse=True)
+        counts = np.zeros((len(keys), len(_COUNTERS)), dtype=np.int64)
+        np.add.at(counts, inv, np.concatenate([p[1] for p in partials]))
+        first_rid = _min_per_group(
+            inv, len(keys), np.concatenate([p[2] for p in partials]))
+        # each partial's local group index -> merged group index
+        bounds = np.cumsum([0] + [len(p[0]) for p in partials])
+        merged_index = [inv[lo:hi].astype(np.uint64)
+                        for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-        min_packets = self.config.min_packets
+        kept = np.flatnonzero(counts[:, 0] >= self.config.min_packets)
+        kept = kept[np.argsort(first_rid[kept])]
+        by_group: List[Optional[WindowExample]] = [None] * len(keys)
         out: List[WindowExample] = []
-        for example, _, merged_votes in sorted(groups.values(),
-                                               key=itemgetter(1)):
-            # insertion order by first vote rid = serial vote order
-            example.label_votes = {
-                label: count for label, (_, count) in
-                sorted(merged_votes.items(), key=lambda kv: kv[1][0])
-            }
-            if example.pkts >= min_packets:
-                out.append(example)
+        for g, key, row in zip(kept.tolist(), keys[kept].tolist(),
+                               counts[kept].tolist()):
+            example = WindowExample(
+                float((key >> 32) - (1 << 31)) * window_s,
+                u32_to_ip(key & 0xFFFFFFFF), *row[:6], set(), set(),
+                *row[6:])
+            by_group[g] = example
+            out.append(example)
+
+        def merged_pairs(column, shift):
+            low = (1 << shift) - 1
+            return np.unique(np.concatenate([
+                (index[p[column] >> shift] << shift) | (p[column] & low)
+                for p, index in zip(partials, merged_index)])).tolist()
+
+        for k in merged_pairs(3, 32):
+            example = by_group[k >> 32]
+            if example is not None:
+                example.dsts.add(u32_to_ip(k & 0xFFFFFFFF))
+        for k in merged_pairs(4, 16):
+            example = by_group[k >> 16]
+            if example is not None:
+                example.dports.add(k & 0xFFFF)
+
+        # (group, label) -> (smallest rid, count); inserting in rid order
+        # gives each group's votes the record path's insertion order.
+        votes: Dict[Tuple[int, str], Tuple[int, int]] = {}
+        for p, index in zip(partials, merged_index):
+            index = index.tolist()
+            for local, label, rid, count in p[5]:
+                slot = (index[local], label)
+                known = votes.get(slot)
+                votes[slot] = (rid, count) if known is None \
+                    else (min(known[0], rid), known[1] + count)
+        for (g, label), (_, count) in sorted(votes.items(),
+                                             key=itemgetter(1)):
+            example = by_group[g]
+            if example is not None:
+                example.label_votes[label] = count
         return out
-
-    def _segment_plan(self, segment, time_range):
-        """Validate + group one segment's columns; () = nothing selected."""
-        cols = segment.columns()
-        if cols is None or not isinstance(cols.src_ip, np.ndarray) \
-                or not isinstance(cols.dst_ip, np.ndarray):
-            return None
-        ts = cols.timestamp
-        if np.isnan(ts).any():
-            return None
-        if time_range is not None:
-            start, end = time_range
-            sel = np.ones(len(ts), dtype=bool)
-            if start is not None:
-                sel &= ts >= start
-            if end is not None:
-                sel &= ts <= end
-            positions = np.flatnonzero(sel)
-        else:
-            positions = np.arange(len(ts))
-        if len(positions) == 0:
-            return ()
-
-        window_s = self.config.window_s
-        widx = np.floor(ts[positions] / window_s)
-        if not (widx.min() >= -(1 << 31) and widx.max() < (1 << 31)):
-            return None               # window ids must pack into 32 bits
-        dports = cols.dst_port[positions].astype(np.int64)
-        if len(dports) and not (dports.min() >= 0
-                                and dports.max() < (1 << 16)):
-            return None               # ports must pack into 16 bits
-
-        in_code = cols.direction.code_of("in")
-        dir_in = (cols.direction.codes[positions] == in_code) \
-            if in_code is not None else np.zeros(len(positions), dtype=bool)
-        src = cols.src_ip[positions].astype(np.uint64)
-        dst = cols.dst_ip[positions].astype(np.uint64)
-        endpoint = np.where(dir_in, src, dst)
-        group_key = ((widx.astype(np.int64) + (1 << 31)).astype(np.uint64)
-                     << 32) | endpoint
-        uniq, first, inv = np.unique(group_key, return_index=True,
-                                     return_inverse=True)
-        return (positions, widx, dir_in, dst, inv,
-                np.argsort(first, kind="stable"), first, uniq)
-
-    def _merge_segment(self, table, segment, plan) -> None:
-        (positions, widx, dir_in, dst, inv, order, first, uniq) = plan
-        cols = segment.columns()
-        window_s = self.config.window_s
-        n_groups = len(uniq)
-        sizes = cols.size[positions]
-        sp = cols.src_port[positions]
-        dp = cols.dst_port[positions]
-
-        def per_group(weights):
-            return np.bincount(inv, weights=weights, minlength=n_groups)
-
-        pkts = np.bincount(inv, minlength=n_groups)
-        bytes_total = per_group(sizes)
-        ttl_sum = per_group(cols.ttl[positions])
-        udp = per_group(cols.protocol[positions] == float(Protocol.UDP))
-        is_dns = (sp == 53) | (dp == 53)
-        dns_pkts = per_group(is_dns)
-        bytes_in = per_group(sizes * dir_in)
-        bytes_out = per_group(sizes * ~dir_in)
-        flags = cols.flags[positions].astype(np.int64)
-        syns = per_group((flags & int(TcpFlags.SYN) != 0)
-                         & (flags & int(TcpFlags.ACK) == 0))
-        wellknown = per_group(np.isin(dp, _WELL_KNOWN_ARR) & dir_in)
-        port53_src = per_group((sp == 53) & dir_in)
-
-        # Tag-derived DNS counters need the stored records' tag dicts.
-        dns_resp = np.zeros(n_groups, dtype=np.int64)
-        dns_any = np.zeros(n_groups, dtype=np.int64)
-        use_payload = self.config.use_payload_features
-        dns_idx = np.flatnonzero(is_dns)
-        dns_rows = segment.stored_at(positions[dns_idx])
-        for i, stored in zip(dns_idx.tolist(), dns_rows):
-            tags = stored.tags
-            if use_payload and tags:
-                if tags.get("dns_qr") == "response":
-                    dns_resp[inv[i]] += 1
-                if tags.get("dns_qtype") == "ANY":
-                    dns_any[inv[i]] += 1
-            elif dir_in[i] and sp[i] == 53:
-                dns_resp[inv[i]] += 1
-
-        # First-occurrence group order keeps table insertion order (and
-        # hence Dataset key order) identical to the record path.
-        by_group: List[Optional[WindowExample]] = [None] * n_groups
-        for j in order.tolist():
-            window_start = float(widx[first[j]]) * window_s
-            endpoint = u32_to_ip(int(uniq[j] & 0xFFFFFFFF))
-            key = (window_start, endpoint)
-            example = table.get(key)
-            if example is None:
-                example = WindowExample(window_start=window_start,
-                                        endpoint=endpoint)
-                table[key] = example
-            by_group[j] = example
-            example.pkts += int(pkts[j])
-            example.bytes += int(bytes_total[j])
-            example.ttl_sum += int(ttl_sum[j])
-            example.udp_pkts += int(udp[j])
-            example.dns_pkts += int(dns_pkts[j])
-            example.dns_responses += int(dns_resp[j])
-            example.dns_any += int(dns_any[j])
-            example.bytes_in += int(bytes_in[j])
-            example.bytes_out += int(bytes_out[j])
-            example.syns += int(syns[j])
-            example.wellknown_dport += int(wellknown[j])
-            example.port53_src += int(port53_src[j])
-
-        in_idx = np.flatnonzero(dir_in)
-        if len(in_idx):
-            inv64 = inv.astype(np.uint64)
-            for k in np.unique((inv64[in_idx] << 32)
-                               | dst[in_idx]).tolist():
-                by_group[k >> 32].dsts.add(u32_to_ip(k & 0xFFFFFFFF))
-            dp64 = dp.astype(np.uint64)
-            for k in np.unique((inv64[in_idx] << 16)
-                               | dp64[in_idx]).tolist():
-                by_group[k >> 16].dports.add(k & 0xFFFF)
-
-        self._merge_votes(by_group, segment, cols, positions, inv)
-
-    @staticmethod
-    def _merge_votes(by_group, segment, cols, positions, inv) -> None:
-        """Per-example label votes, in packet order (tie-breaks match)."""
-        label_values = cols.label.values
-        code_votable = np.array(
-            [v != "" and v != "benign" for v in label_values], dtype=bool
-        )
-        codes = cols.label.codes[positions]
-        votable = code_votable[codes]
-        curated = list(map(attrgetter("label"), segment.stored_at(positions)))
-        if any(curated):
-            votable = votable | np.fromiter(
-                map(bool, curated), dtype=bool, count=len(positions))
-        for i in np.flatnonzero(votable).tolist():
-            label = curated[i] or label_values[codes[i]]
-            if label and label != "benign":
-                votes = by_group[inv[i]].label_votes
-                votes[label] = votes.get(label, 0) + 1

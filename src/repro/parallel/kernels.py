@@ -159,19 +159,15 @@ def scatter_query(segments, query: Query, executor: ParallelExecutor,
 
 
 def _featurize_kernel(shipment: ColumnsShipment, time_range, window_s: float,
-                      use_payload: bool, resp_mask, any_mask, tagged_mask,
-                      curated_codes, curated_values):
+                      use_payload: bool, *aux):
     """Partial window aggregation of one shipped block (records-free)."""
     shm, cols, worker = _observed_attach(shipment)
     try:
         if worker is None:
             return _block_examples(cols, time_range, window_s, use_payload,
-                                   resp_mask, any_mask, tagged_mask,
-                                   curated_codes, curated_values)
+                                   *aux)
         started = worker.tracer.clock.now()
-        out = _block_examples(cols, time_range, window_s, use_payload,
-                              resp_mask, any_mask, tagged_mask,
-                              curated_codes, curated_values)
+        out = _block_examples(cols, time_range, window_s, use_payload, *aux)
         _observe_kernel(worker, "featurize", started)
         return out
     finally:
@@ -180,20 +176,20 @@ def _featurize_kernel(shipment: ColumnsShipment, time_range, window_s: float,
 
 def scatter_featurize(blocks, time_range, window_s: float, use_payload: bool,
                       executor: ParallelExecutor) -> Optional[List]:
-    """Per-segment partial examples computed in workers.
+    """Per-segment partial aggregates computed in workers.
 
-    ``blocks`` is ``[(segment, cols, aux), ...]`` as prepared by
+    ``blocks`` is ``[(cols, aux), ...]`` as prepared by
     :meth:`SourceWindowFeaturizer.examples_merged`; the per-row aux
-    arrays (DNS tag verdicts, curated label codes) ride the pickle
-    channel while the columns go through shared memory.  Returns the
-    per-block partial results, or None when shipping is unavailable.
+    arrays (record ids, DNS tag verdicts, curated label codes) ride the
+    pickle channel while the columns go through shared memory.  Returns
+    the per-block partial results, or None when shipping is unavailable.
     """
     if not shm_available():
         return None
     handles = []
     try:
         tasks = []
-        for _, cols, aux in blocks:
+        for cols, aux in blocks:
             handle, shipment = _observed_pack(cols, executor)
             handles.append(handle)
             tasks.append((shipment, time_range, window_s, use_payload, *aux))
@@ -211,17 +207,16 @@ def _extract_kernel(shipment: ColumnsShipment) -> List[Dict[str, str]]:
     """Tag extraction for one shipped block.
 
     Builds a fresh topology-free extractor inside the worker — live
-    platform objects never cross the boundary — and materializes
-    records off the shared views (payloads were shipped alongside).
+    platform objects never cross the boundary — and extracts straight
+    from the shared column views (payloads were shipped alongside).
     """
     from repro.capture.metadata import MetadataExtractor
     shm, cols, worker = _observed_attach(shipment)
     try:
         if worker is None:
-            return MetadataExtractor().extract_batch(
-                list(cols.iter_records()))
+            return MetadataExtractor().extract_columns(cols)
         started = worker.tracer.clock.now()
-        tags = MetadataExtractor().extract_batch(list(cols.iter_records()))
+        tags = MetadataExtractor().extract_columns(cols)
         _observe_kernel(worker, "extract", started)
         return tags
     finally:

@@ -137,7 +137,7 @@ def test_featurizer_columnar_matches_record_path(packets, window_s,
     store = build_store(packets, tagged=False, sealed=False)
     featurizer = SourceWindowFeaturizer(
         FeatureConfig(window_s=window_s, min_packets=1))
-    columnar = featurizer.examples_columnar(store, time_range)
+    columnar = featurizer.examples_merged(store, time_range)
     records = featurizer.examples_from_records(store, time_range)
     assert columnar is not None
     assert [(e.window_start, e.endpoint) for e in columnar] == \

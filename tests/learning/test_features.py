@@ -139,7 +139,7 @@ class TestColumnarFromStore:
                    for i in range(40)]
         store = self._store(packets)
         f = _featurizer()
-        columnar = f.examples_columnar(store)
+        columnar = f.examples_merged(store)
         assert columnar is not None
         reference = f.examples_from_records(store)
         assert [(e.window_start, e.endpoint) for e in columnar] == \
@@ -151,7 +151,7 @@ class TestColumnarFromStore:
         packets = [_packet(0.5), _packet(1.0, src="not-an-ip")]
         store = self._store(packets)
         f = _featurizer()
-        assert f.examples_columnar(store) is None
+        assert f.examples_merged(store) is None
         dataset = f.from_store(store)          # record-path fallback
         assert len(dataset.X) == len(f.examples_from_records(store))
 
@@ -164,7 +164,7 @@ class TestColumnarFromStore:
                     stored.label = "scan"
             segment.invalidate_indexes()
         f = _featurizer()
-        columnar = f.examples_columnar(store)
+        columnar = f.examples_merged(store)
         reference = f.examples_from_records(store)
         assert [e.label_votes for e in columnar] == \
             [e.label_votes for e in reference]

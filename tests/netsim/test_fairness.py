@@ -85,3 +85,51 @@ def test_equal_flows_get_equal_shares():
     assert max(rates) - min(rates) <= max(rates) * 1e-6
     # All four share the host's 1 Gbps access uplink.
     assert sum(rates) == pytest.approx(1e9, rel=1e-3)
+
+
+def _maxmin_matrix(send_capacities, recv_capacities, connections):
+    """estee's ``compute_maxmin_flow`` cases through ``weighted_max_min``.
+
+    Every send and receive capacity is a link; every nonzero
+    connection (sender i, receiver j) is a class of weight 1 and
+    unbounded demand crossing link i and link ``len(send) + j``.
+    Returns the allocation as estee's sender x receiver matrix.
+    """
+    from repro.netsim.fluid import weighted_max_min
+
+    connections = np.asarray(connections)
+    pairs = np.argwhere(connections != 0)
+    n_send = len(send_capacities)
+    membership = np.zeros((n_send + len(recv_capacities), len(pairs)))
+    for c, (i, j) in enumerate(pairs):
+        membership[i, c] = membership[n_send + j, c] = 1.0
+    alloc = weighted_max_min(
+        np.full(len(pairs), np.inf), np.ones(len(pairs)), membership,
+        np.asarray(send_capacities + recv_capacities, dtype=float))
+    out = np.zeros(connections.shape)
+    out[tuple(pairs.T)] = alloc
+    return out
+
+
+@pytest.mark.parametrize("send, recv, connections, expected", [
+    ([1, 1], [1], [[1], [1]], [[0.5], [0.5]]),
+    ([1], [1, 1], [[1, 1]], [[0.5, 0.5]]),
+    ([1, 1], [1, 1], [[1, 0], [1, 0]], [[0.5, 0], [0.5, 0]]),
+    ([1, 1], [1, 1], [[1, 1], [1, 0]], [[0.5, 0.5], [0.5, 0]]),
+    ([1, 1], [1, 0.25], [[1, 1], [1, 0]], [[0.5, 0.25], [0.5, 0]]),
+    ([1, 1, 1, 1], [1, 1, 1, 1], [[1, 1, 1, 1]] * 4,
+     [[0.25, 0.25, 0.25, 0.25]] * 4),
+    ([0.4, 1, 1, 1], [1, 1, 0.8, 1], [[1, 1, 1, 1]] * 3 + [[0, 0, 0, 1]],
+     [[0.1, 0.1, 0.1, 0.1],
+      [0.25, 0.25, 0.25, 0.25],
+      [0.25, 0.25, 0.25, 0.25],
+      [0.0, 0.0, 0.0, 0.4]]),
+    ([0.1, 0.2, 0.3, 0.4], [1, 0.2, 0.2, 0.1], np.eye(4, dtype=int),
+     np.diag([0.1, 0.2, 0.2, 0.1])),
+])
+def test_weighted_max_min_matches_estee_maxmin_cases(send, recv, connections,
+                                                     expected):
+    """The eight ``compute_maxmin_flow`` cases of estee's netmodel
+    tests, in link x class incidence form."""
+    assert _maxmin_matrix(send, recv, connections) == \
+        pytest.approx(np.asarray(expected, dtype=float), abs=1e-12)
