@@ -608,6 +608,7 @@ def cmd_simulate(args) -> int:
             "duration_s": args.duration,
             "border_flows": summary.total_flows,
             "tap_flows": summary.total_tap_flows,
+            "overlay_flows": summary.overlay_flows,
             "tap_packets": summary.total_packets,
             "bytes_drained": summary.total_bytes,
             "packets_per_sim_second": rate,
@@ -618,6 +619,7 @@ def cmd_simulate(args) -> int:
               f"{args.duration:.0f}s simulated")
         print(f"border flows: {summary.total_flows}  "
               f"tap flows: {summary.total_tap_flows}  "
+              f"overlay flows: {summary.overlay_flows}  "
               f"tap packets: {summary.total_packets} "
               f"({rate:.0f} pkt/sim-s in {batches} batches)")
         print(f"bytes drained through the uplink model: "

@@ -3,15 +3,22 @@
 The discrete engine (:mod:`repro.netsim.network`) schedules one event
 per flow per user — faithful, but quadratically dead at the paper's
 "day of traffic from a million users".  This engine replaces per-user
-events with population dynamics:
+events with population dynamics, and its cost follows what the tap
+sees rather than campus size:
 
 1. **Cohorts** (:mod:`repro.netsim.cohorts`): users collapse into
    equal-count activity cohorts; the aggregate arrival intensity per
    cohort is exact, and gamma heterogeneity survives as the spread of
    per-cohort means.
-2. **Fixed tick**: per tick, flow arrivals per (cohort x app) class
-   are one vectorized Poisson draw from
-   ``lambda_c(t) = count_c * activity_c * base_rate * diurnal(t)``.
+2. **Sample-first class draw** (:func:`draw_classes`): per tick and
+   (cohort x app) class, the border-crossing flow count is one Poisson
+   draw from ``lambda_c(t) * weight_a * p_internet_a * tick`` (exact
+   by Poisson thinning), and the tap count one binomial thinning of
+   it.  Only tapped flows get exact sizes.  A class's untapped byte
+   mass is the exact sum of its size draws up to
+   :data:`EXACT_SUM_MAX` flows, and above that one lognormal draw
+   matching the sum's mean and variance — the one approximation, and
+   absent at ``tap_sample == 1``.
 3. **Fluid demand**: class byte backlogs push demand through an
    aggregated link set (department distribution links, the core, the
    border uplink) under weighted progressive-filling max-min sharing —
@@ -23,10 +30,13 @@ events with population dynamics:
    batches with numpy — no per-packet Python objects, no record
    materialization (enforced by lint rule REP309 on this module).
 
-Determinism: every random draw comes from one seeded generator in a
-fixed order, so identical seeds produce bit-identical column batches.
-The discrete engine stays the equivalence oracle — see
-``tests/netsim/test_fluid_equivalence.py``.
+Determinism: every random draw comes from one seeded generator in the
+fixed order stated on :meth:`FluidTrafficEngine._advance_tick`, so
+identical seeds produce bit-identical column batches; a golden digest
+in ``tests/netsim/test_fluid.py`` pins the stream.  The discrete
+engine stays the equivalence oracle (``test_fluid_equivalence.py``),
+and the exact per-flow class draw the distribution reference
+(``test_fluid_draw.py``).
 """
 
 from __future__ import annotations
@@ -55,6 +65,9 @@ RATE_EPSILON = 1e-6
 CAMPUS_BASE_U32 = 0x0A000001
 #: synthetic internet pool inside 100.64.0.0/10 (never campus space).
 INTERNET_BASE_U32 = 0x64400000
+#: a class's untapped byte mass is an exact sum of this many size draws
+#: or fewer; larger counts get one moment-matched draw (draw_classes).
+EXACT_SUM_MAX = 32
 
 _TCP = int(Protocol.TCP)
 _HEADER_TCP = 40.0
@@ -138,8 +151,9 @@ class FluidTick:
     offered_bytes: float
     drained_bytes: float
     allocated_bps: float
-    tap_flows: int
-    tap_packets: int
+    tap_flows: int               # sampled background flows
+    tap_packets: int             # background plus overlay packets
+    overlay_flows: int = 0       # event-overlay flows (never sampled)
 
 
 @dataclass
@@ -150,6 +164,8 @@ class FluidRunSummary:
     total_flows: int = 0
     total_tap_flows: int = 0
     total_packets: int = 0
+    #: overlay flows; with ``total_tap_flows`` this counts every flow id
+    overlay_flows: int = 0
     total_bytes: float = 0.0
     # set when collect_flows=True: one entry per sampled tap flow
     flow_sizes: Optional[np.ndarray] = None
@@ -200,6 +216,72 @@ def weighted_max_min(demand: np.ndarray, weights: np.ndarray,
             frozen = active.copy()   # numerical corner: force progress
         active &= ~frozen
     return alloc
+
+
+def draw_classes(rng: np.random.Generator, rate: np.ndarray,
+                 profiles: Sequence[FluidAppProfile],
+                 p_internet: np.ndarray, tap_sample: float):
+    """One tick's sample-first draw for every (cohort, app) class.
+
+    ``rate`` is the ``[C, A]`` matrix of expected flow arrivals.  In
+    draw order:
+
+    1. border counts ``B ~ Poisson(rate * p_internet)`` — Poisson
+       thinning makes this exact, so flows that never reach the border
+       are never drawn;
+    2. tap counts ``T ~ Binomial(B, tap_sample)``, skipped when every
+       border flow is tapped;
+    3. per app in mix order: exact sizes for the ``T`` tap flows, then
+       the untapped mass of each class with ``U = B - T``.  A class
+       with ``U <= EXACT_SUM_MAX`` sums ``U`` exact draws; above that,
+       one lognormal with the sum's mean ``U * mean`` and variance
+       ``U * var`` stands in for it (exact again for a zero-variance
+       law, which needs no draw).
+
+    At ``tap_sample == 1`` there is no untapped mass, so nothing is
+    approximated.  Returns ``(border_bytes [C, A], border_flows [C, A],
+    flow_parts)``, where ``flow_parts`` holds ``(app, sizes,
+    class_of)`` per app with tap flows and ``class_of = c * A + a``.
+    """
+    n_cohorts, n_apps = rate.shape
+    border = rng.poisson(rate * p_internet[None, :])
+    tapped = border if tap_sample >= 1.0 else rng.binomial(border,
+                                                           tap_sample)
+    untapped = border - tapped
+    border_bytes = np.zeros((n_cohorts, n_apps))
+    flow_parts = []
+    for a, profile in enumerate(profiles):
+        dist = profile.size_sampler
+        n_tap = int(tapped[:, a].sum())
+        if n_tap:
+            sizes = dist(rng, n_tap)
+            cohort_of = np.repeat(np.arange(n_cohorts), tapped[:, a])
+            border_bytes[:, a] = np.bincount(cohort_of, weights=sizes,
+                                             minlength=n_cohorts)
+            flow_parts.append((a, sizes, cohort_of * n_apps + a))
+        counts = untapped[:, a]
+        small = np.flatnonzero((counts > 0) & (counts <= EXACT_SUM_MAX))
+        if len(small):
+            sizes = dist(rng, int(counts[small].sum()))
+            owner = np.repeat(np.arange(len(small)), counts[small])
+            border_bytes[small, a] += np.bincount(owner, weights=sizes,
+                                                  minlength=len(small))
+        large = np.flatnonzero(counts > EXACT_SUM_MAX)
+        if len(large):
+            border_bytes[large, a] += _moment_matched_sums(
+                rng, counts[large], dist.mean, dist.var)
+    return border_bytes, border, flow_parts
+
+
+def _moment_matched_sums(rng: np.random.Generator, counts: np.ndarray,
+                         mean: float, var: float) -> np.ndarray:
+    """Stand-ins for sums of ``counts`` iid sizes: lognormals with the
+    sums' mean ``counts * mean`` and variance ``counts * var``."""
+    total = counts * mean
+    if var <= 0.0:
+        return total
+    log_var = np.log1p(var / (counts * mean * mean))
+    return rng.lognormal(np.log(total) - 0.5 * log_var, np.sqrt(log_var))
 
 
 class FluidTrafficEngine:
@@ -288,6 +370,16 @@ class FluidTrafficEngine:
         self.p_internet = np.array([p.p_internet for p in self.profiles])
         self.backlog_bytes = np.zeros(n_classes)
         self.backlog_flows = np.zeros(n_classes)
+        # Tap-synthesis constants: each cohort's first user index, and
+        # per app the variant table as (fwd fraction, rate cap, port).
+        counts = self.cohorts.counts
+        self._cohort_bases = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        self._variant_arrays = [(
+            np.array([v.fwd_fraction for v in p.variants]),
+            np.array([v.rate_cap_bps if v.rate_cap_bps is not None
+                      else host for v in p.variants]),
+            np.array([v.dst_port for v in p.variants], dtype=np.float64),
+        ) for p in self.profiles]
 
     # -- wiring --------------------------------------------------------------
 
@@ -340,6 +432,7 @@ class FluidTrafficEngine:
             summary.ticks.append(tick)
             summary.total_flows += tick.arrivals
             summary.total_tap_flows += tick.tap_flows
+            summary.overlay_flows += tick.overlay_flows
             summary.total_packets += tick.tap_packets
             summary.total_bytes += tick.drained_bytes
             if collect_flows and flows is not None:
@@ -367,45 +460,34 @@ class FluidTrafficEngine:
         return summary
 
     def _advance_tick(self, tick_s: float, collect_flows: bool):
-        """One tick: arrivals -> demand -> allocation -> tap synthesis.
+        """One tick: class draw -> demand -> allocation -> tap synthesis.
 
-        RNG draw order is fixed (poisson matrix, then per-app draws in
-        mix order, then overlays in registration order) — the
-        determinism contract.
+        The class draw (:func:`draw_classes`) is sample-first: per
+        (cohort, app) class it draws the border count, then the tap
+        count, then exact sizes for tap flows only; untapped byte mass
+        is an exact sum for small counts and one moment-matched draw
+        above :data:`EXACT_SUM_MAX`.
+
+        Determinism contract — the RNG draw order is fixed: the border
+        count matrix, the tap count matrix (skipped at ``tap_sample ==
+        1``), then per app in mix order its tap sizes, small-count
+        sums and moment draws; then tap synthesis per app in mix order
+        (start offsets, variants, addresses, ports); then overlays in
+        registration order.  Identical seeds give bit-identical
+        batches, and a change to this order changes the golden digest
+        in ``tests/netsim/test_fluid.py``.
         """
         config = self.config
         rng = self.rng
-        n_apps = len(self.profiles)
         mid_time = self.now + tick_s / 2.0
         lam = self.cohorts.arrival_intensity(
             config.mean_flows_per_hour, mid_time)            # [C]
-        lam_matrix = lam[:, None] * self.app_weights[None, :] * tick_s
-        arrivals = rng.poisson(lam_matrix)                    # [C, A]
-
-        # Per-app vectorized draws: sizes for every arrival, border
-        # membership, tap sampling, then per-class byte demand.
-        tick_bytes = np.zeros_like(self.backlog_bytes)
-        tick_flows = np.zeros_like(self.backlog_flows)
-        flow_parts = []           # per-app arrays for sampled tap flows
-        border_arrivals = 0
-        for a in range(n_apps):
-            per_cohort = arrivals[:, a]
-            n_total = int(per_cohort.sum())
-            if n_total == 0:
-                continue
-            profile = self.profiles[a]
-            sizes = profile.size_sampler(rng, n_total)
-            is_border = rng.random(n_total) < self.p_internet[a]
-            sampled = is_border if config.tap_sample >= 1.0 else (
-                is_border & (rng.random(n_total) < config.tap_sample))
-            cohort_of = np.repeat(np.arange(len(per_cohort)), per_cohort)
-            class_of = cohort_of * n_apps + a
-            border_sizes = np.where(is_border, sizes, 0.0)
-            np.add.at(tick_bytes, class_of, border_sizes)
-            np.add.at(tick_flows, class_of, is_border.astype(np.float64))
-            border_arrivals += int(is_border.sum())
-            if sampled.any():
-                flow_parts.append((a, sizes[sampled], class_of[sampled]))
+        rate = lam[:, None] * self.app_weights[None, :] * tick_s
+        border_bytes, border_flows, flow_parts = draw_classes(
+            rng, rate, self.profiles, self.p_internet, config.tap_sample)
+        tick_bytes = border_bytes.ravel()    # class index c * A + a
+        tick_flows = border_flows.ravel().astype(np.float64)
+        border_arrivals = int(border_flows.sum())
 
         offered = float(tick_bytes.sum())
         self.backlog_bytes += tick_bytes
@@ -428,7 +510,7 @@ class FluidTrafficEngine:
 
         batch, tap_flows, tap_packets, flows = self._synthesize(
             flow_parts, phi, tick_s, collect_flows)
-        overlay_batches = self._overlay_batches(tick_s)
+        overlay_batches, overlay_flows = self._overlay_batches(tick_s)
         if overlay_batches:
             parts = ([batch] if len(batch) else []) + overlay_batches
             batch = _concat_columns(parts, self._dir_values)
@@ -437,7 +519,7 @@ class FluidTrafficEngine:
             time=self.now, arrivals=border_arrivals,
             offered_bytes=offered, drained_bytes=float(drained.sum()),
             allocated_bps=float(alloc.sum()), tap_flows=tap_flows,
-            tap_packets=tap_packets)
+            tap_packets=tap_packets, overlay_flows=overlay_flows)
         return batch, tick, flows
 
     # -- tap-side columnar synthesis -----------------------------------------
@@ -459,14 +541,8 @@ class FluidTrafficEngine:
             m = len(sizes)
             starts = self.now + rng.random(m) * tick_s
             variant_idx = profile.sample_variants(rng, m)
-            fwd = np.array([v.fwd_fraction for v in profile.variants])[
-                variant_idx]
-            caps = np.array([
-                v.rate_cap_bps if v.rate_cap_bps is not None
-                else config.host_rate_bps
-                for v in profile.variants])[variant_idx]
-            ports = np.array([v.dst_port for v in profile.variants],
-                             dtype=np.float64)[variant_idx]
+            fwd, caps, ports = (
+                table[variant_idx] for table in self._variant_arrays[a])
             rate = np.minimum(caps, config.host_rate_bps) * phi[class_of]
             durations = np.maximum(sizes * 8.0 / rate, 1e-6)
             cohort = class_of // len(self.profiles)
@@ -507,16 +583,18 @@ class FluidTrafficEngine:
         from its own slice of the ``10/8`` plan.
         """
         counts = self.cohorts.counts
-        bases = np.concatenate(([0], np.cumsum(counts)))[:-1]
         offsets = rng.random(len(cohort))
-        user_idx = (bases[cohort]
+        user_idx = (self._cohort_bases[cohort]
                     + (offsets * counts[cohort]).astype(np.int64))
         return (CAMPUS_BASE_U32 + user_idx).astype(np.uint32)
 
     # -- event overlays ------------------------------------------------------
 
-    def _overlay_batches(self, tick_s: float) -> List[PacketColumns]:
+    def _overlay_batches(self, tick_s: float):
+        """Each active overlay's tap batch for this tick, plus the
+        number of overlay flows they carry."""
         batches = []
+        n_flows = 0
         config = self.config
         rng = self.rng
         for overlay in self.overlays:
@@ -527,6 +605,7 @@ class FluidTrafficEngine:
             n = int(rng.poisson(overlay.flows_per_second * (hi - lo)))
             if n == 0:
                 continue
+            n_flows += n
             sizes = np.asarray(overlay.size_sampler(rng, n),
                                dtype=np.float64)
             starts = lo + rng.random(n) * (hi - lo)
@@ -556,7 +635,7 @@ class FluidTrafficEngine:
             batches.append(_expand_flows(
                 [spec], config.max_packets_per_flow, self._dir_values,
                 [overlay.app], [overlay.label]))
-        return batches
+        return batches, n_flows
 
 
 # -- vectorized flow -> packet expansion -------------------------------------

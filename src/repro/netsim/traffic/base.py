@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +47,94 @@ class FluidVariant:
     rate_cap_bps: Optional[float] = None
 
 
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class LognormalSize:
+    """Lognormal flow size clipped to ``[floor, ceil]`` bytes.
+
+    Called as ``(rng, n)`` it draws ``n`` iid sizes, exactly as
+    :meth:`AppTrafficModel.lognormal_bytes` draws one.  ``mean`` and
+    ``var`` are the clipped law's analytic moments.
+    """
+
+    median: float
+    sigma: float
+    floor: float = 64.0
+    ceil: float = 5e9
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        values = rng.lognormal(mean=np.log(self.median), sigma=self.sigma,
+                               size=int(n))
+        return np.clip(values, self.floor, self.ceil)
+
+    def raw_moment(self, k: int) -> float:
+        """``E[X^k]``: mass below ``floor`` sits at ``floor``, mass above
+        ``ceil`` at ``ceil``, and the body is the partial lognormal
+        moment ``exp(k mu + k^2 sigma^2 / 2) [Phi(b - k sigma) -
+        Phi(a - k sigma)]`` between the standardized log bounds."""
+        mu, s = math.log(self.median), self.sigma
+        a = (math.log(self.floor) - mu) / s
+        b = (math.log(self.ceil) - mu) / s
+        body = math.exp(k * mu + 0.5 * (k * s) ** 2) * (
+            _normal_cdf(b - k * s) - _normal_cdf(a - k * s))
+        return (self.floor ** k * _normal_cdf(a)
+                + self.ceil ** k * _normal_cdf(-b) + body)
+
+    @property
+    def mean(self) -> float:
+        return self.raw_moment(1)
+
+    @property
+    def var(self) -> float:
+        return self.raw_moment(2) - self.mean ** 2
+
+
+@dataclass(frozen=True)
+class UniformIntSize:
+    """Integer flow size uniform on ``[low, high)`` bytes."""
+
+    low: int
+    high: int
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(self.low, self.high, size=int(n)).astype(
+            np.float64)
+
+    @property
+    def mean(self) -> float:
+        return (self.low + self.high - 1) / 2.0
+
+    @property
+    def var(self) -> float:
+        return ((self.high - self.low) ** 2 - 1) / 12.0
+
+
+@dataclass(frozen=True)
+class FixedSize:
+    """Every flow carries exactly ``size`` bytes."""
+
+    size: float
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(int(n), float(self.size))
+
+    @property
+    def mean(self) -> float:
+        return float(self.size)
+
+    @property
+    def var(self) -> float:
+        return 0.0
+
+
+#: a per-flow size law: callable as ``(rng, n) -> sizes`` with analytic
+#: ``mean``/``var`` (the fluid engine's untapped-mass draw needs them).
+SizeDistribution = Union[LognormalSize, UniformIntSize, FixedSize]
+
+
 @dataclass
 class FluidAppProfile:
     """Population-level description of one application class.
@@ -56,13 +145,15 @@ class FluidAppProfile:
     probability a flow of this class crosses the border tap (derived
     from the discrete model's to_server/to_internet destination
     logic), which is all the tap-side synthesis needs.
+    ``size_sampler`` is an explicit :data:`SizeDistribution`, so the
+    engine can draw a class's untapped byte mass from its moments.
     """
 
     name: str
     protocol: int
     p_internet: float
     variants: Tuple[FluidVariant, ...]
-    size_sampler: Callable[[np.random.Generator, int], np.ndarray]
+    size_sampler: SizeDistribution
 
     def __post_init__(self) -> None:
         if not self.variants:
@@ -108,15 +199,6 @@ class AppTrafficModel(abc.ABC):
         """Heavy-tailed flow size; ``median`` in bytes, ``sigma`` shape."""
         value = rng.lognormal(mean=np.log(median), sigma=sigma)
         return float(min(max(value, floor), ceil))
-
-    @staticmethod
-    def lognormal_sizes(rng: np.random.Generator, n: int, median: float,
-                        sigma: float, floor: float = 64.0,
-                        ceil: float = 5e9) -> np.ndarray:
-        """Vectorized :meth:`lognormal_bytes`: ``n`` iid flow sizes."""
-        values = rng.lognormal(mean=np.log(median), sigma=sigma,
-                               size=int(n))
-        return np.clip(values, floor, ceil)
 
 
 class TrafficMix:

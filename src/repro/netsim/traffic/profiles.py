@@ -6,9 +6,10 @@ import numpy as np
 
 from repro.netsim.packets import Protocol
 from repro.netsim.traffic import payloads
-from repro.netsim.traffic.base import (AppTrafficModel, FlowTemplate,
-                                       FluidAppProfile, FluidVariant,
-                                       TrafficMix)
+from repro.netsim.traffic.base import (AppTrafficModel, FixedSize,
+                                       FlowTemplate, FluidAppProfile,
+                                       FluidVariant, LognormalSize,
+                                       TrafficMix, UniformIntSize)
 
 MBPS = 1_000_000
 
@@ -36,8 +37,7 @@ class WebBrowsingModel(AppTrafficModel):
             name=self.name, protocol=int(Protocol.TCP), p_internet=1.0,
             variants=(FluidVariant(0.85, 443, 0.08),
                       FluidVariant(0.15, 80, 0.08)),
-            size_sampler=lambda rng, n: self.lognormal_sizes(
-                rng, n, median=60_000, sigma=1.6),
+            size_sampler=LognormalSize(median=60_000, sigma=1.6),
         )
 
 
@@ -64,8 +64,7 @@ class VideoStreamingModel(AppTrafficModel):
             name=self.name, protocol=int(Protocol.TCP), p_internet=1.0,
             variants=tuple(FluidVariant(0.25, 443, 0.02, float(m) * MBPS)
                            for m in (3, 5, 8, 12)),
-            size_sampler=lambda rng, n: self.lognormal_sizes(
-                rng, n, median=8_000_000, sigma=1.0),
+            size_sampler=LognormalSize(median=8_000_000, sigma=1.0),
         )
 
 
@@ -94,8 +93,7 @@ class DnsModel(AppTrafficModel):
         return FluidAppProfile(
             name=self.name, protocol=int(Protocol.UDP), p_internet=0.15,
             variants=(FluidVariant(1.0, 53, 0.25),),
-            size_sampler=lambda rng, n: rng.integers(
-                120, 600, size=int(n)).astype(np.float64),
+            size_sampler=UniformIntSize(120, 600),
         )
 
 
@@ -121,8 +119,7 @@ class SshModel(AppTrafficModel):
         return FluidAppProfile(
             name=self.name, protocol=int(Protocol.TCP), p_internet=0.2,
             variants=(FluidVariant(1.0, 22, 0.45),),
-            size_sampler=lambda rng, n: self.lognormal_sizes(
-                rng, n, median=25_000, sigma=1.2),
+            size_sampler=LognormalSize(median=25_000, sigma=1.2),
         )
 
 
@@ -152,8 +149,7 @@ class MailModel(AppTrafficModel):
             name=self.name, protocol=int(Protocol.TCP), p_internet=0.25,
             variants=(FluidVariant(0.4, 587, 0.8),
                       FluidVariant(0.6, 993, 0.1)),
-            size_sampler=lambda rng, n: self.lognormal_sizes(
-                rng, n, median=90_000, sigma=1.4),
+            size_sampler=LognormalSize(median=90_000, sigma=1.4),
         )
 
 
@@ -176,7 +172,7 @@ class NtpModel(AppTrafficModel):
         return FluidAppProfile(
             name=self.name, protocol=int(Protocol.UDP), p_internet=1.0,
             variants=(FluidVariant(1.0, 123, 0.5),),
-            size_sampler=lambda rng, n: np.full(int(n), 180.0),
+            size_sampler=FixedSize(180.0),
         )
 
 
@@ -201,8 +197,8 @@ class BulkTransferModel(AppTrafficModel):
         return FluidAppProfile(
             name=self.name, protocol=int(Protocol.TCP), p_internet=1.0,
             variants=(FluidVariant(1.0, 443, 0.95),),
-            size_sampler=lambda rng, n: self.lognormal_sizes(
-                rng, n, median=150_000_000, sigma=1.2, ceil=3e9),
+            size_sampler=LognormalSize(median=150_000_000, sigma=1.2,
+                                       ceil=3e9),
         )
 
 
@@ -227,8 +223,8 @@ class SoftwareUpdateModel(AppTrafficModel):
         return FluidAppProfile(
             name=self.name, protocol=int(Protocol.TCP), p_internet=1.0,
             variants=(FluidVariant(1.0, 443, 0.01),),
-            size_sampler=lambda rng, n: self.lognormal_sizes(
-                rng, n, median=40_000_000, sigma=1.3, ceil=2e9),
+            size_sampler=LognormalSize(median=40_000_000, sigma=1.3,
+                                       ceil=2e9),
         )
 
 

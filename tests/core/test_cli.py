@@ -46,6 +46,20 @@ def test_ingest_summary_only_requires_spill(capsys):
     assert "--spill" in capsys.readouterr().err
 
 
+def test_simulate_json_counts_overlay_flows(capsys):
+    code = main([
+        "simulate", "--profile", "tiny", "--seed", "2",
+        "--duration", "120", "--users", "20000", "--tap-sample", "0.01",
+        "--attack", "dns-amp", "--json",
+    ])
+    assert code == 0
+    run = json.loads(capsys.readouterr().out)
+    assert run["overlay_flows"] > 0
+    assert 0 < run["tap_flows"] <= run["border_flows"]
+    assert run["tap_packets"] > 0
+    assert run["events"] == ["ddos-dns-amp"]
+
+
 def test_profiles_lists_known(capsys):
     assert main(["profiles"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Fluid engine units: config, allocation, determinism, overlays."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,49 @@ from repro.netsim.fluid import (
     weighted_max_min,
 )
 from repro.netsim.packets import PacketColumns
+
+
+#: SHA-256 of the golden run's batches (every column) and summary
+#: totals.  It pins the RNG stream: any change to the draw order, the
+#: class draw or tap synthesis moves it, and must re-pin it on purpose.
+GOLDEN_DIGEST = (
+    "01f79ea5fe102889f3f17232c35f1499e8daeec738c7c4a49f869ac5d0d2758d")
+
+
+def _exfil_overlay(start, end, flows_per_second=2.0):
+    return FluidOverlay(
+        label="exfiltration", app="exfil", start_time=start,
+        end_time=end, flows_per_second=flows_per_second,
+        size_sampler=lambda rng, n: np.full(n, 50_000.0),
+        src_ips=np.array([CAMPUS_BASE_U32 + 3], dtype=np.uint32),
+        dst_ips=np.array([INTERNET_BASE_U32 + 9], dtype=np.uint32),
+        src_internal=True)
+
+
+def _stream_digest(batches, summary) -> str:
+    digest = hashlib.sha256()
+    for batch in batches:
+        for name in PacketColumns.__slots__:
+            if name.startswith("_"):
+                continue
+            column = getattr(batch, name)
+            digest.update(name.encode())
+            if name == "payload":
+                for fragment in column:
+                    digest.update(len(fragment).to_bytes(4, "little"))
+                    digest.update(fragment)
+            elif hasattr(column, "codes"):
+                digest.update(np.asarray(column.codes, np.int64).tobytes())
+                digest.update("\0".join(column.values).encode())
+            else:
+                array = np.ascontiguousarray(column)
+                digest.update(array.dtype.str.encode())
+                digest.update(array.tobytes())
+    digest.update(repr((
+        summary.total_flows, summary.total_tap_flows,
+        summary.overlay_flows, summary.total_packets,
+        float(summary.total_bytes).hex())).encode())
+    return digest.hexdigest()
 
 
 def _engine(seed=0, **overrides) -> FluidTrafficEngine:
@@ -127,6 +172,19 @@ class TestDeterminism:
         assert a_summary.total_packets == b_summary.total_packets
         assert a_summary.total_bytes == b_summary.total_bytes
 
+    def test_golden_stream_digest(self):
+        """Seed 7 with tap sampling, so the run takes every branch of
+        the class draw (binomial tap counts, small-count exact sums,
+        moment-matched draws) plus an overlay."""
+        engine = _engine(seed=7, n_users=5_000, tap_sample=0.05)
+        engine.add_overlay(_exfil_overlay(engine.now + 60.0,
+                                          engine.now + 120.0))
+        batches = []
+        engine.add_packet_observer(batches.append)
+        summary = engine.run(180.0)
+        assert summary.overlay_flows > 0
+        assert _stream_digest(batches, summary) == GOLDEN_DIGEST
+
     def test_different_seeds_differ(self):
         a_batches, _ = self._batches(1)
         b_batches, _ = self._batches(2)
@@ -232,14 +290,7 @@ class TestOverlays:
     def test_overlay_packets_labeled_and_windowed(self):
         engine = _engine(seed=12)
         start = engine.now
-        engine.add_overlay(FluidOverlay(
-            label="exfiltration", app="exfil",
-            start_time=start + 60.0, end_time=start + 120.0,
-            flows_per_second=2.0,
-            size_sampler=lambda rng, n: np.full(n, 50_000.0),
-            src_ips=np.array([CAMPUS_BASE_U32 + 3], dtype=np.uint32),
-            dst_ips=np.array([INTERNET_BASE_U32 + 9], dtype=np.uint32),
-            src_internal=True))
+        engine.add_overlay(_exfil_overlay(start + 60.0, start + 120.0))
         batches = []
         engine.add_packet_observer(batches.append)
         engine.run(180.0)
@@ -259,6 +310,25 @@ class TestOverlays:
             if len(ts):
                 assert ts.min() >= start + 60.0 - 1e-6
                 assert ts.max() <= start + 125.0
+
+    def test_overlay_flows_are_counted(self):
+        engine = _engine(seed=14, tap_sample=0.1)
+        engine.add_overlay(_exfil_overlay(engine.now + 30.0,
+                                          engine.now + 150.0,
+                                          flows_per_second=5.0))
+        batches = []
+        engine.add_packet_observer(batches.append)
+        summary = engine.run(180.0)
+        assert summary.overlay_flows > 0
+        assert summary.overlay_flows == sum(
+            t.overlay_flows for t in summary.ticks)
+        # Every issued flow id is a tap flow or an overlay flow, and
+        # every one of them put packets on the tap.
+        issued = summary.total_tap_flows + summary.overlay_flows
+        assert engine.new_flow_ids(1)[0] == issued
+        flow_ids = np.unique(np.concatenate([b.flow_id for b in batches]))
+        assert np.array_equal(flow_ids, np.arange(issued))
+        assert summary.total_packets == sum(len(b) for b in batches)
 
     def test_overlay_outside_window_is_silent(self):
         engine = _engine(seed=13)

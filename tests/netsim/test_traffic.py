@@ -13,6 +13,8 @@ from repro.netsim.traffic import (
     WebBrowsingModel,
     default_mix,
 )
+from repro.netsim.traffic.base import FixedSize, LognormalSize, \
+    UniformIntSize
 from repro.netsim.traffic.payloads import (
     decode_dns_qname,
     dns_amplification_payload,
@@ -109,3 +111,65 @@ def test_payloads_are_deterministic():
     a = dns_query_payload(_dummy_flow(9), 0, "fwd")
     b = dns_query_payload(_dummy_flow(9), 0, "fwd")
     assert a == b
+
+
+# -- size distributions: analytic moments vs Monte Carlo ---------------------
+
+MC_DRAWS = 10**6
+#: |Monte Carlo - analytic| must stay within this many standard errors;
+#: each standard error comes from the law's analytic moments.
+MOMENT_Z = 5.0
+#: clip-bound laws: 33% of the mass sits on the 64 B floor; 5% on the
+#: 5e9 B ceiling.
+FLOOR_BOUND = LognormalSize(median=100.0, sigma=1.0)
+CEIL_BOUND = LognormalSize(median=1e9, sigma=1.0)
+
+
+def _raw_moments(dist):
+    """``E[X^k]`` for k = 1..4."""
+    if isinstance(dist, LognormalSize):
+        return [dist.raw_moment(k) for k in range(1, 5)]
+    if isinstance(dist, UniformIntSize):
+        support = np.arange(dist.low, dist.high, dtype=np.float64)
+        return [float(np.mean(support ** k)) for k in range(1, 5)]
+    return [float(dist.size) ** k for k in range(1, 5)]
+
+
+def _moment_cases():
+    cases = [(m.name, m.fluid_profile().size_sampler)
+             for m in default_mix().models]
+    return cases + [("floor-bound", FLOOR_BOUND),
+                    ("ceil-bound", CEIL_BOUND)]
+
+
+@pytest.mark.parametrize("name,dist", _moment_cases())
+def test_size_moments_match_monte_carlo(name, dist):
+    m1, m2, m3, m4 = _raw_moments(dist)
+    assert dist.mean == pytest.approx(m1, rel=1e-12)
+    assert dist.var == pytest.approx(m2 - m1 * m1, rel=1e-9, abs=1e-9)
+    draws = dist(np.random.default_rng(2024), MC_DRAWS)
+    assert len(draws) == MC_DRAWS
+    if dist.var == 0.0:
+        assert np.all(draws == dist.mean)
+        return
+    central4 = m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1 ** 4
+    se_mean = np.sqrt(dist.var / MC_DRAWS)
+    se_var = np.sqrt((central4 - dist.var ** 2) / MC_DRAWS)
+    assert abs(draws.mean() - dist.mean) <= MOMENT_Z * se_mean, name
+    assert abs(draws.var() - dist.var) <= MOMENT_Z * se_var, name
+
+
+def test_moments_account_for_the_clip():
+    for dist, bound in ((FLOOR_BOUND, FLOOR_BOUND.floor),
+                        (CEIL_BOUND, CEIL_BOUND.ceil)):
+        draws = dist(np.random.default_rng(7), MC_DRAWS)
+        assert np.mean(draws == bound) > 0.04
+        unclipped_mean = dist.median * np.exp(0.5 * dist.sigma ** 2)
+        assert abs(unclipped_mean - dist.mean) > 0.01 * dist.mean
+
+
+def test_uniform_and_fixed_sizes_keep_their_draws():
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(UniformIntSize(120, 600)(rng_a, 50),
+                          rng_b.integers(120, 600, size=50).astype(float))
+    assert np.array_equal(FixedSize(180.0)(rng_a, 4), np.full(4, 180.0))
