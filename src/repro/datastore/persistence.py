@@ -26,6 +26,8 @@ import shutil
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+import numpy as np
+
 from repro.capture.flows import FlowRecord
 from repro.capture.pcapng import read_packets, write_packets
 from repro.capture.sensors import LogRecord
@@ -192,17 +194,16 @@ def import_store(directory: Union[str, Path],
             meta_rows = [json.loads(line) for line in fh if line.strip()]
     if meta_rows and len(meta_rows) != len(packets):
         raise PersistenceError("packet metadata length mismatch")
-    store.ingest_packets(packets)
+    store.ingest_packets(packets, tags=[row.get("tags", {})
+                                        for row in meta_rows] or None)
     if meta_rows:
         position = 0
         for segment in store.segments("packets"):
-            for stored in segment.records:
-                stored.tags = meta_rows[position].get("tags", {})
-                stored.label = meta_rows[position].get("label")
-                position += 1
-            # tag/field indexes and column blocks are built lazily from
-            # the records; restoring tags out-of-band invalidates them
-            segment.invalidate_indexes()
+            n = len(segment)
+            segment.set_labels(np.arange(n), [
+                row.get("label")
+                for row in meta_rows[position:position + n]])
+            position += n
 
     flows = []
     labels = []

@@ -30,12 +30,12 @@ like the pre-planner executor — predicates in declaration order, no
 gather, no stats pruning — so planning degrades to the old behaviour,
 never below it.
 
-Exact-mode planned execution is **bit-identical** to
-:func:`~repro.datastore.query.execute_query_linear`: predicate
+Exact-mode planned execution is **bit-identical** to the linear
+reference executor (``tests/datastore/reference.py``): predicate
 reordering commutes over AND-masks, gathered evaluation selects the
 same positions, and pruning only removes segments that provably
 contribute nothing.  ``tests/datastore/test_planner_equivalence``
-holds every path to the linear oracle.
+holds every path to that oracle.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def _plan_segment(segment, query: Query,
                   allowed: Optional[set]) -> SegmentPlan:
     if allowed is not None and id(segment) not in allowed:
         return _pruned(segment, "shard")
-    if not segment.records:
+    if not len(segment):
         return _pruned(segment, "empty")
     if query.time_range is not None and not segment.overlaps(
             *query.time_range):
@@ -300,7 +300,7 @@ def _plan_segment(segment, query: Query,
         lead = sels.get(items[0][0])
         gather = lead is not None and lead <= GATHER_SELECTIVITY
 
-    estimate = float(len(segment.records))
+    estimate = float(len(segment))
     estimate *= _time_fraction(segment, query.time_range)
     for fld, _ in items:
         sel = sels.get(fld)

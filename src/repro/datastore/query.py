@@ -10,9 +10,10 @@ predicates to a record-at-a-time pass over the few surviving rows.
 Collections without columns (flows, logs) keep the index-accelerated
 record path: pick the most selective index, intersect, filter.
 
-``execute_query_linear`` is the semantics reference — a plain linear
-scan with no indexes and no columns.  ``tests/datastore`` verifies both
-accelerated paths return *identical records in identical order*.
+The semantics reference — a plain linear scan with no indexes and no
+columns — lives with the tests (``tests/datastore/reference.py``); the
+equivalence suites there verify both accelerated paths return
+*identical records in identical order*.
 """
 
 from __future__ import annotations
@@ -129,35 +130,33 @@ def _matches(stored, segment, query: Query) -> bool:
     return True
 
 
-def _columnar_scan(segment, cols, query: Query, where_items=None,
-                   gather: bool = False) -> List[Tuple[float, object]]:
-    """Vectorized per-segment scan; returns (time, stored) pairs.
+def _select(cols, time_range, items, gather: bool) \
+        -> Tuple[np.ndarray, bool]:
+    """Vectorized row selection over one column block: ascending
+    positions passing the zone maps, the time range and every ``where``
+    item numpy can evaluate, plus whether some item could not be
+    evaluated (a residual the caller must check per record).
 
-    Pairs are time-ordered when the query asks for time ordering,
-    position-ordered otherwise — exactly matching the record path.
-
-    ``where_items`` lets the planner substitute a selectivity-ordered
-    predicate sequence (same set as ``query.where``; AND-masks
-    commute, so the selected rows are identical in any order).  With
-    ``gather`` the predicates after the first evaluate only at the
+    With ``gather`` the predicates after the first evaluate only at the
     survivors of the running mask — fancy-indexed gathers instead of
     whole-column comparisons — which is how a selective leading
-    predicate makes the rest nearly free.
+    predicate makes the rest nearly free.  AND-masks commute, so any
+    item order selects the same rows.
     """
-    items = list(query.where.items()) if where_items is None else where_items
-    # Zone maps: rule the whole segment out before touching any column.
+    # Zone maps: rule the whole block out before touching any column.
+    empty = np.zeros(0, dtype=np.int64)
     for fld, value in items:
         if not cols.zone_admits(fld, value):
-            return []
+            return empty, False
 
     lo, hi = 0, len(cols)
     mask: Optional[np.ndarray] = None
-    if query.time_range is not None:
-        start, end = query.time_range
+    if time_range is not None:
+        start, end = time_range
         if cols.time_sorted:
             lo, hi = cols.time_slice(start, end)
             if lo >= hi:
-                return []
+                return empty, False
         else:
             ts = cols.timestamp
             mask = np.ones(len(ts), dtype=bool)
@@ -168,34 +167,42 @@ def _columnar_scan(segment, cols, query: Query, where_items=None,
 
     residual = False
     positions: Optional[np.ndarray] = None
-    if gather:
-        for fld, value in items:
-            if positions is None:
-                field_mask = cols.equals_mask(fld, value, lo, hi)
-                if field_mask is None:
-                    residual = True  # unknown field: check per record
-                    continue
-                mask = field_mask if mask is None else (mask & field_mask)
-                positions = np.flatnonzero(mask) + lo
-            elif len(positions):
+    for fld, value in items:
+        if positions is not None:
+            if len(positions):
                 hits = cols.equals_at(fld, value, positions)
                 if hits is None:
-                    residual = True
+                    residual = True   # payload/unknown field: per record
                     continue
                 positions = positions[hits]
-    else:
-        for fld, value in items:
-            field_mask = cols.equals_mask(fld, value, lo, hi)
-            if field_mask is None:
-                residual = True      # payload/unknown field: per record
-                continue
-            mask = field_mask if mask is None else (mask & field_mask)
-
+            continue
+        field_mask = cols.equals_mask(fld, value, lo, hi)
+        if field_mask is None:
+            residual = True
+            continue
+        mask = field_mask if mask is None else (mask & field_mask)
+        if gather:
+            positions = (np.flatnonzero(mask) + lo).astype(np.int64)
     if positions is None:
         if mask is None:
-            positions = np.arange(lo, hi)
+            positions = np.arange(lo, hi, dtype=np.int64)
         else:
-            positions = np.flatnonzero(mask) + lo
+            positions = (np.flatnonzero(mask) + lo).astype(np.int64)
+    return positions, residual
+
+
+def _columnar_scan(segment, cols, query: Query, where_items=None,
+                   gather: bool = False) -> List[Tuple[float, object]]:
+    """Vectorized per-segment scan; returns (time, stored) pairs.
+
+    Pairs are time-ordered when the query asks for time ordering,
+    position-ordered otherwise — exactly matching the record path.
+    ``where_items`` lets the planner substitute a selectivity-ordered
+    predicate sequence (same set as ``query.where``); ``gather`` is
+    its gather choice (see :func:`_select`).
+    """
+    items = list(query.where.items()) if where_items is None else where_items
+    positions, residual = _select(cols, query.time_range, items, gather)
     if len(positions) == 0:
         return []
 
@@ -217,64 +224,16 @@ def columnar_positions(cols, time_range, where, where_items=None,
                        gather: bool = False) -> Optional[np.ndarray]:
     """Purely vectorized row selection over one column block.
 
-    The worker-side half of the parallel scan: zone maps, time slice,
-    and equality masks only — no records, no tags, no predicates.
-    Returns ascending positions, or ``None`` when some ``where`` field
-    cannot be evaluated vectorized (caller must fall back to the serial
-    path, which handles residual fields per record).
-
-    ``where_items``/``gather`` carry the planner's per-segment
-    predicate order and gather choice into the worker (same semantics
-    as :func:`_columnar_scan`, minus the residual path — workers have
-    no records to fall back to).
+    The worker-side half of the parallel scan and the exact aggregates'
+    row count: zone maps, time slice, and equality masks only — no
+    records, no tags, no predicates.  Returns ascending positions, or
+    ``None`` when some ``where`` field cannot be evaluated vectorized
+    (caller must fall back to the serial path, which handles residual
+    fields per record).
     """
     items = list(where.items()) if where_items is None else where_items
-    for fld, value in items:
-        if not cols.zone_admits(fld, value):
-            return np.zeros(0, dtype=np.int64)
-
-    lo, hi = 0, len(cols)
-    mask: Optional[np.ndarray] = None
-    if time_range is not None:
-        start, end = time_range
-        if cols.time_sorted:
-            lo, hi = cols.time_slice(start, end)
-            if lo >= hi:
-                return np.zeros(0, dtype=np.int64)
-        else:
-            ts = cols.timestamp
-            mask = np.ones(len(ts), dtype=bool)
-            if start is not None:
-                mask &= ts >= start
-            if end is not None:
-                mask &= ts <= end
-
-    if gather:
-        positions: Optional[np.ndarray] = None
-        for fld, value in items:
-            if positions is None:
-                field_mask = cols.equals_mask(fld, value, lo, hi)
-                if field_mask is None:
-                    return None
-                mask = field_mask if mask is None else (mask & field_mask)
-                positions = (np.flatnonzero(mask) + lo).astype(np.int64)
-            elif len(positions):
-                hits = cols.equals_at(fld, value, positions)
-                if hits is None:
-                    return None
-                positions = positions[hits]
-        if positions is not None:
-            return positions
-    else:
-        for fld, value in items:
-            field_mask = cols.equals_mask(fld, value, lo, hi)
-            if field_mask is None:
-                return None
-            mask = field_mask if mask is None else (mask & field_mask)
-
-    if mask is None:
-        return np.arange(lo, hi, dtype=np.int64)
-    return (np.flatnonzero(mask) + lo).astype(np.int64)
+    positions, residual = _select(cols, time_range, items, gather)
+    return None if residual else positions
 
 
 def _record_scan(segment,
@@ -317,32 +276,11 @@ def execute_query(store, query: Query, obs=None) -> List:
     Plans first — stats pruning, selectivity-ordered predicates,
     gather decisions — then executes the plan; see
     :mod:`repro.datastore.planner`.  A store without stats plans into
-    exactly the pre-planner scan, so this stays bit-identical to
-    :func:`execute_query_linear` either way.
+    exactly the pre-planner scan, so this stays bit-identical to the
+    linear reference executor either way.
     """
     from repro.datastore.planner import execute_plan, plan_query
     return execute_plan(store, plan_query(store, query), obs=obs)
-
-
-def execute_query_linear(store, query: Query) -> List:
-    """Reference executor: record-at-a-time, no indexes, no columns.
-
-    Defines the query semantics the accelerated paths must reproduce
-    exactly (same records, same order); the equivalence suite in
-    ``tests/datastore`` holds :func:`execute_query` to it.
-    """
-    results = []
-    for segment in store.segments(query.collection):
-        time_of = segment.schema.time_of
-        for stored in segment.records:
-            if _matches(stored, segment, query):
-                results.append((time_of(stored.record), stored))
-    if query.order_by_time:
-        results.sort(key=_TIME_KEY)
-    records = [stored for _, stored in results]
-    if query.limit is not None:
-        records = records[: query.limit]
-    return records
 
 
 _RID_KEY = itemgetter(1)

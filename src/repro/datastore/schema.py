@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 
 @dataclass(frozen=True)
@@ -13,9 +12,7 @@ class CollectionSchema:
 
     ``columnar`` marks collections whose records can be mirrored into a
     struct-of-arrays block (:class:`repro.netsim.packets.PacketColumns`)
-    for the vectorized query path; ``batch_size_fn`` is an optional
-    whole-batch equivalent of ``size_fn`` (must agree exactly with
-    summing ``size_fn`` per record).
+    for the vectorized query path.
     """
 
     name: str
@@ -23,7 +20,6 @@ class CollectionSchema:
     indexed_fields: tuple
     size_fn: Callable
     columnar: bool = False
-    batch_size_fn: Optional[Callable] = None
 
     def time_of(self, record) -> float:
         """The record's position on the collection's time axis."""
@@ -37,16 +33,6 @@ class CollectionSchema:
 def _packet_size(record) -> int:
     # Fixed header + payload fragment + strings, matching pcapng format.
     return 44 + len(record.payload) + len(record.app) + len(record.label)
-
-
-def _packet_batch_size(records) -> int:
-    # Three C-level attrgetter/map passes beat one Python-level genexpr.
-    return (
-        44 * len(records)
-        + sum(map(len, map(attrgetter("payload"), records)))
-        + sum(map(len, map(attrgetter("app"), records)))
-        + sum(map(len, map(attrgetter("label"), records)))
-    )
 
 
 def _flow_size(record) -> int:
@@ -63,7 +49,6 @@ PACKETS = CollectionSchema(
     indexed_fields=("src_ip", "dst_ip", "dst_port", "protocol", "direction"),
     size_fn=_packet_size,
     columnar=True,
-    batch_size_fn=_packet_batch_size,
 )
 
 FLOWS = CollectionSchema(

@@ -247,7 +247,7 @@ class SegmentStats:
                 pairs = keyed_value_counts(cols, fld)
                 if pairs is not None:
                     summaries[fld] = _column_stats_from_pairs(fld, *pairs)
-            return cls(n=len(segment.records), columns=summaries)
+            return cls(n=len(segment), columns=summaries)
         field_of = segment.schema.field_of
         for fld in segment.schema.indexed_fields:
             tallies: Dict[Hashable, int] = {}
@@ -260,7 +260,7 @@ class SegmentStats:
                 counts = np.fromiter(tallies.values(), dtype=np.int64,
                                      count=len(keys))
                 summaries[fld] = _column_stats_from_pairs(fld, keys, counts)
-        return cls(n=len(segment.records), columns=summaries)
+        return cls(n=len(segment), columns=summaries)
 
     def column(self, fld: str) -> Optional[ColumnStats]:
         return self.columns.get(fld)

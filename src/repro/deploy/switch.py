@@ -162,10 +162,22 @@ class EmulatedSwitch:
             }
             self._g_breaker = metrics.gauge("repro_switch_breaker_state")
 
-        network.add_packet_observer(self._on_packets)
-        self._schedule_tick()
+        network.add_packet_observer(self._deliver)
+        #: the window-tick grid: ticks fall at start + k * window_s,
+        #: accumulated by repeated addition exactly as a chain of
+        #: ``schedule(window_s)`` calls places them
+        self._next_tick = network.now + self.config.window_s
+        self._tick_armed = True
+        network.simulator.schedule(self.config.window_s, self._tick,
+                                   name="switch-tick")
 
     # -- sense ---------------------------------------------------------------
+
+    def _deliver(self, packets: List[PacketRecord]) -> None:
+        """A delivered batch: sense it, and re-arm a paused tick chain."""
+        self._on_packets(packets)
+        if packets and not self._tick_armed:
+            self._arm_tick()
 
     def _on_packets(self, packets: List[PacketRecord]) -> None:
         """Sense one delivered batch.
@@ -234,10 +246,24 @@ class EmulatedSwitch:
 
     # -- infer + react ---------------------------------------------------------
 
-    def _schedule_tick(self) -> None:
-        self.network.simulator.schedule(
-            self.config.window_s, self._tick, name="switch-tick"
-        )
+    def _arm_tick(self) -> None:
+        """Schedule the first grid tick after now.
+
+        A tick with no unevaluated window does nothing, so the chain
+        pauses while there are none (a replay can leave hours between
+        packets) and the next delivered batch re-arms it on the same
+        grid.  A tick the pause skipped would have run, and found
+        nothing, before that batch arrived.  Re-arming follows at least
+        one tick, so on a clock started at or after zero
+        ``now >= window_s >= next - now`` and the subtraction is exact:
+        the event lands on the grid time itself.
+        """
+        now = self.network.now
+        while self._next_tick <= now:
+            self._next_tick += self.config.window_s
+        self._tick_armed = True
+        self.network.simulator.schedule(self._next_tick - now, self._tick,
+                                        name="switch-tick")
 
     def _tick(self) -> None:
         now = self.network.now
@@ -250,7 +276,12 @@ class EmulatedSwitch:
             self._evaluate_window(window_start)
             self._evaluated.add(window_start)
             del self._buckets[window_start]
-        self._schedule_tick()
+        self._next_tick = now + self.config.window_s
+        if any(start not in self._evaluated for start in self._buckets):
+            self.network.simulator.schedule(self.config.window_s,
+                                            self._tick, name="switch-tick")
+        else:
+            self._tick_armed = False
 
     def _evaluate_window(self, window_start: float) -> None:
         if self.obs is None:

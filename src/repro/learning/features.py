@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -405,46 +405,36 @@ class SourceWindowFeaturizer:
                             for s in stored)
 
     def _segment_aux(self, segment, cols):
-        """Records-derived inputs for :func:`_block_examples`.
-
-        Runs in the parent (only it holds the stored records): per-row
-        record ids, DNS tag verdicts for the tag-aware counters and
-        dict-encoded curated labels.  Cost is one pass over the DNS rows
-        plus one attribute sweep for curated labels and record ids (a
-        cold segment keeps its ids as a column) — the heavy bincount
-        math stays in the kernel.
+        """Annotation inputs for :func:`_block_examples`, read from the
+        segment's columns without building a row: per-row record ids,
+        DNS tag verdicts for the tag-aware counters (decided once per
+        distinct tag set) and dict-encoded curated labels.  Runs in the
+        parent; the heavy bincount math stays in the kernel.
         """
         n = len(cols)
         resp = np.zeros(n, dtype=bool)
         anyq = np.zeros(n, dtype=bool)
         tagged = np.zeros(n, dtype=bool)
         if self.config.use_payload_features:
-            dns_rows = np.flatnonzero((cols.src_port == 53.0)
-                                      | (cols.dst_port == 53.0))
-            for i, stored in zip(dns_rows.tolist(),
-                                 segment.stored_at(dns_rows)):
-                tags = stored.tags
-                if tags:
-                    tagged[i] = True
-                    if tags.get("dns_qr") == "response":
-                        resp[i] = True
-                    if tags.get("dns_qtype") == "ANY":
-                        anyq[i] = True
-        records = segment.records
-        rids = getattr(segment, "rids", None)
-        if rids is None:
-            rids = np.fromiter(map(attrgetter("rid"), records),
-                               dtype=np.uint64, count=n)
+            codes, tag_sets = segment.tag_column()
+            dns = (cols.src_port == 53.0) | (cols.dst_port == 53.0)
+            tagged = dns & np.array([bool(t) for t in tag_sets],
+                                    dtype=bool)[codes]
+            resp = dns & np.array(
+                [t.get("dns_qr") == "response" for t in tag_sets],
+                dtype=bool)[codes]
+            anyq = dns & np.array(
+                [t.get("dns_qtype") == "ANY" for t in tag_sets],
+                dtype=bool)[codes]
+        rids = np.asarray(segment.rids, dtype=np.uint64)
+        codes, values = segment.label_column()
         curated_codes = None
         curated_values: List[str] = []
-        curated = list(map(attrgetter("label"), records))
-        if any(curated):
-            code_of: Dict[str, int] = {}
-            curated_codes = np.fromiter(
-                (code_of.setdefault(c, len(code_of)) if c else -1
-                 for c in curated),
-                dtype=np.int64, count=n)
-            curated_values = list(code_of)
+        if any(values):
+            # an empty curated label defers to the packet's own label
+            voting = np.array([bool(v) for v in values] + [False])
+            curated_codes = np.where(voting[codes], codes, -1)
+            curated_values = list(values)
         return (rids, resp, anyq, tagged, curated_codes, curated_values)
 
     def examples_merged(self, store, time_range: Optional[Tuple] = None,
@@ -463,11 +453,9 @@ class SourceWindowFeaturizer:
         """
         blocks = []
         for segment in store.segments("packets"):
-            if not segment.records:
+            if not len(segment):
                 continue
             cols = segment.columns()
-            if cols is None:
-                return None
             blocks.append((cols, self._segment_aux(segment, cols)))
 
         window_s = self.config.window_s

@@ -16,8 +16,8 @@ provides the pieces that exploit it on one machine:
 * :mod:`repro.parallel.taskgraph` — a small dependency-aware task
   graph (a la Estee) that schedules ready waves onto the executor.
 * :mod:`repro.parallel.kernels` — the module-level worker functions
-  (query scan, featurize aggregation, metadata extraction) that cross
-  the process boundary.
+  (query scan, featurize aggregation) that cross the process
+  boundary.
 
 Determinism contract: every parallel path in this package produces
 results bit-identical to its serial reference — parallelism changes

@@ -51,15 +51,14 @@ def _observe_kernel(worker, kernel: str, started: float) -> None:
         worker.tracer.clock.now() - started)
 
 
-def _observed_pack(cols: PacketColumns, executor: ParallelExecutor,
-                   with_payload: bool = False):
+def _observed_pack(cols: PacketColumns, executor: ParallelExecutor):
     """Pack a column block into shared memory, timing the ship when the
     parent executor carries an Observability."""
     obs = executor.obs
     if obs is None:
-        return pack_columns(cols, with_payload=with_payload)
+        return pack_columns(cols)
     started = obs.clock.now()
-    handle, shipment = pack_columns(cols, with_payload=with_payload)
+    handle, shipment = pack_columns(cols)
     obs.metrics.histogram("repro_parallel_shm_pack_seconds").observe(
         obs.clock.now() - started)
     return handle, shipment
@@ -122,7 +121,7 @@ def scatter_query(segments, query: Query, executor: ParallelExecutor,
 
     jobs: List[Tuple[object, PacketColumns]] = []
     for segment in segments:
-        if not segment.records:
+        if not len(segment):
             continue
         if query.time_range is not None and not segment.overlaps(
                 *query.time_range):
@@ -198,61 +197,3 @@ def scatter_featurize(blocks, time_range, window_s: float, use_payload: bool,
         for handle in handles:
             handle.close()
             handle.unlink()
-
-
-# -- metadata extraction ------------------------------------------------------
-
-
-def _extract_kernel(shipment: ColumnsShipment) -> List[Dict[str, str]]:
-    """Tag extraction for one shipped block.
-
-    Builds a fresh topology-free extractor inside the worker — live
-    platform objects never cross the boundary — and extracts straight
-    from the shared column views (payloads were shipped alongside).
-    """
-    from repro.capture.metadata import MetadataExtractor
-    shm, cols, worker = _observed_attach(shipment)
-    try:
-        if worker is None:
-            return MetadataExtractor().extract_columns(cols)
-        started = worker.tracer.clock.now()
-        tags = MetadataExtractor().extract_columns(cols)
-        _observe_kernel(worker, "extract", started)
-        return tags
-    finally:
-        shm.close()
-
-
-def scatter_extract(cols: PacketColumns, executor: ParallelExecutor,
-                    min_chunk: int = 2_000) -> Optional[List[Dict[str, str]]]:
-    """Metadata extraction fanned out over row chunks of one batch.
-
-    Only valid for topology-free extraction (the caller checks): tags
-    are then a pure function of each packet, so chunking cannot change
-    them.  Returns the per-row tag dicts in input order, or None when
-    the batch is too small to be worth shipping or shm is unavailable.
-    """
-    n = len(cols)
-    if not shm_available() or n < 2 * min_chunk or cols.payload is None:
-        return None
-    chunks = max(2, min(executor.workers * 2, n // min_chunk))
-    bounds = np.linspace(0, n, chunks + 1).astype(int)
-    handles = []
-    try:
-        tasks = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo == hi:
-                continue
-            handle, shipment = _observed_pack(cols.slice(int(lo), int(hi)),
-                                              executor, with_payload=True)
-            handles.append(handle)
-            tasks.append((shipment,))
-        outs = executor.map_tasks(_extract_kernel, tasks)
-    finally:
-        for handle in handles:
-            handle.close()
-            handle.unlink()
-    tags: List[Dict[str, str]] = []
-    for out in outs:
-        tags.extend(out)
-    return tags

@@ -112,9 +112,9 @@ REP_CODES: Dict[str, Tuple[Severity, str]] = {
                "direct segment-list mutation outside the store/tiering "
                "layer; go through evict_segment or the compactor"),
     "REP309": (Severity.ERROR,
-               "per-packet record materialization inside the fluid "
-               "engine's hot path; packets must stay columnar "
-               "(PacketColumns.from_arrays) from tap to store"),
+               "per-packet record materialization on the columnar "
+               "packet path (fluid engine, store segments); packets "
+               "stay PacketColumns from tap to store"),
     # -- privacy taint flow (REP4xx) --
     "REP401": (Severity.ERROR,
                "raw privacy-sensitive value reaches an export/print "

@@ -76,12 +76,12 @@ _QUERY_INTERNALS = {"_scan_segment", "_columnar_scan", "_record_scan",
 _SEGMENT_MUTATORS = {"append", "extend", "insert", "remove", "pop",
                      "clear", "sort", "reverse"}
 
-#: record-at-a-time constructors/materializers forbidden inside the
-#: fluid engine's hot path (REP309).  The engine's whole performance
-#: contract is tap-side columnar synthesis — packets exist only as
-#: :class:`~repro.netsim.packets.PacketColumns` arrays; one
-#: ``PacketRecord`` per packet would reintroduce the per-object cost
-#: the engine exists to eliminate.
+#: record-at-a-time constructors/materializers forbidden on the columnar
+#: packet path (REP309): the fluid engine synthesizes packets straight
+#: into :class:`~repro.netsim.packets.PacketColumns` arrays, and the
+#: store's segments keep them so, building rows only in bulk
+#: (``PacketColumns.records_at``).  One ``PacketRecord`` per packet
+#: would reintroduce the per-object cost both exist to eliminate.
 _FLUID_SCALAR_CALLS = {"PacketRecord", "synthesize_packets",
                        "iter_records", "record", "from_records"}
 
@@ -165,10 +165,12 @@ class LintConfig:
     segment_mutation_scope: List[str] = field(
         default_factory=lambda: ["datastore/store.py",
                                  "datastore/tiers.py"])
-    #: fluid-engine hot-path modules where per-packet record
+    #: columnar packet-path modules where per-packet record
     #: construction is forbidden (REP309) — packets must stay columnar.
     fluid_hot_scope: List[str] = field(
-        default_factory=lambda: ["netsim/fluid.py"])
+        default_factory=lambda: ["netsim/fluid.py",
+                                 "datastore/segments.py",
+                                 "datastore/tiers.py"])
     exclude: List[str] = field(
         default_factory=lambda: ["__pycache__", ".egg-info"])
     #: checked-in intentional exceptions: "relative/path.py:REP303"
@@ -450,10 +452,10 @@ class _PatternVisitor(ast.NodeVisitor):
                 chain[-1] in _FLUID_SCALAR_CALLS:
             self._report(
                 "REP309",
-                f"{chain[-1]}() materializes per-packet records inside "
-                f"the fluid hot path; synthesize straight into "
-                f"PacketColumns.from_arrays so packets stay columnar "
-                f"from tap to store",
+                f"{chain[-1]}() materializes per-packet records on the "
+                f"columnar packet path; keep packets as PacketColumns "
+                f"(PacketColumns.from_arrays to synthesize, "
+                f"records_at to build rows in bulk)",
                 node.lineno)
         if len(chain) >= 2 and chain[-1] in _SUBMIT_METHODS:
             for arg in node.args:

@@ -11,9 +11,11 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
-from repro.datastore.query import Query, execute_query, execute_query_linear
+from repro.datastore.query import Query, execute_query
 from repro.datastore.store import DataStore
 from repro.netsim.packets import PacketRecord
+
+from tests.datastore.reference import execute_query_linear
 
 # Small pools make collisions (and hence non-trivial filters) likely.
 IPS = ["10.0.0.1", "10.0.0.2", "9.9.0.7", "192.168.1.20"]

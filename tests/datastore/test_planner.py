@@ -16,9 +16,11 @@ from repro.datastore.planner import (
     plan_query,
     within,
 )
-from repro.datastore.query import Query, execute_query, execute_query_linear
+from repro.datastore.query import Query, execute_query
 from repro.datastore.store import DataStore, ShardedDataStore
 from repro.netsim.packets import PacketRecord
+
+from tests.datastore.reference import execute_query_linear
 
 
 def _packet(t, src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=80,

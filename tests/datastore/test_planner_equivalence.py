@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.planner import within
-from repro.datastore.query import Query, execute_query, execute_query_linear
+from repro.datastore.query import Query, execute_query
 from repro.datastore.store import DataStore, ShardedDataStore
 from repro.netsim.packets import PacketRecord
+
+from tests.datastore.reference import execute_query_linear
 
 WINDOW_S = 5.0
 IPS = ["10.0.0.1", "10.0.0.2", "9.9.0.7", "192.168.1.20"]

@@ -82,8 +82,9 @@ class TestPlatformInstrumentation:
             assert vec is not None and vec.count >= 1
             assert metrics.get("repro_store_query_rows_total",
                                path="vectorized").value >= len(rows)
-            span = next(s for s in platform.obs.tracer.spans
-                        if s.name == "store.query")
+            # the span of the query just issued: the last one recorded
+            span = [s for s in platform.obs.tracer.spans
+                    if s.name == "store.query"][-1]
             assert span.attrs["collection"] == "packets"
             assert span.attrs["rows"] == len(rows)
         finally:

@@ -595,6 +595,19 @@ class TestFluidHotPath:
         """, rel_path="netsim/fluid.py")
         assert findings == []
 
+    def test_per_row_calls_flagged_in_segment_modules(self):
+        findings = _lint("""
+            def rows(cols, records, positions):
+                built = [cols.record(p) for p in positions]
+                return built, PacketColumns.from_records(records)
+        """, rel_path="datastore/segments.py")
+        assert [d.code for d in findings] == ["REP309"] * 2
+        bulk = _lint("""
+            def rows(cols, positions):
+                return cols.records_at(positions)
+        """, rel_path="datastore/tiers.py")
+        assert bulk == []
+
     def test_other_modules_out_of_scope(self):
         source = """
             def rows(batch):
