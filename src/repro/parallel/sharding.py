@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -188,16 +188,3 @@ class ShardRouter:
         assignments = np.asarray(assignments)
         return [np.flatnonzero(assignments == shard)
                 for shard in range(self.n_shards)]
-
-    def partition_columns(self, cols: PacketColumns) \
-            -> List[Tuple[np.ndarray, Optional[PacketColumns]]]:
-        """Split a batch into per-shard (positions, column slice) pairs.
-
-        Positions are ascending, so each slice preserves the batch's
-        arrival order; empty shards get ``(empty, None)``.
-        """
-        out: List[Tuple[np.ndarray, Optional[PacketColumns]]] = []
-        for positions in self.partition_positions(self.assign_columns(cols)):
-            out.append((positions,
-                        cols.take(positions) if len(positions) else None))
-        return out

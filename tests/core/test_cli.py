@@ -41,6 +41,32 @@ def test_ingest_streams_flushes_and_reopens(tmp_path, capsys):
     assert summary["compaction_debt"] == 0
 
 
+def _stored_labels(spill):
+    from repro.datastore import Query
+    from repro.datastore.tiers import TieredDataStore
+
+    store = TieredDataStore(spill_dir=spill)
+    return {s.rid: s.label for s in store.query(Query("packets"))}
+
+
+def test_ingest_resumed_spill_keeps_earlier_cold_labels(tmp_path, capsys):
+    # a second run over the same spill directory, with another attack
+    # and seed, labels its own packets and leaves the first run's cold
+    # rows as they were curated
+    spill = tmp_path / "tiers"
+    run = ["ingest", "--profile", "tiny", "--duration", "60",
+           "--spill", str(spill), "--memtable", "1024", "--flush-cold"]
+    assert main(run + ["--seed", "3", "--attack", "scan"]) == 0
+    first = _stored_labels(spill)
+    assert "port-scan" in first.values()
+    assert main(run + ["--seed", "4", "--attack", "dns-amp"]) == 0
+    capsys.readouterr()
+    both = _stored_labels(spill)
+    assert {rid: both[rid] for rid in first} == first
+    later = {label for rid, label in both.items() if rid not in first}
+    assert "ddos-dns-amp" in later and "port-scan" not in later
+
+
 def test_ingest_summary_only_requires_spill(capsys):
     assert main(["ingest", "--summary-only"]) == 2
     assert "--spill" in capsys.readouterr().err
