@@ -56,10 +56,11 @@ class FeatureQuantizer:
         return cls(scales=scales, width=width)
 
     def quantize(self, x: Sequence[float]) -> List[int]:
+        max_value = self.max_value
         out = []
         for value, scale in zip(x, self.scales):
             q = int(math.floor(max(value, 0.0) * scale))
-            out.append(min(q, self.max_value))
+            out.append(min(q, max_value))
         return out
 
     def dequantize(self, q: Sequence[int]) -> List[float]:

@@ -71,11 +71,19 @@ class CountMinSketch:
         self._table = np.zeros((depth, width), dtype=np.int64)
         self.total = 0
 
+    def slots(self, item: Hashable) -> List[int]:
+        """The flat ``_table`` positions ``item`` maps to, one per row:
+        ``row * width + _hash64(item, row) % width``."""
+        width = self.width
+        return [row * width + value % width
+                for row, value in enumerate(_hashes(item, self.depth))]
+
     def add(self, item: Hashable, count: int = 1) -> None:
         if count < 0:
             raise ValueError("count must be non-negative")
-        for row, value in enumerate(_hashes(item, self.depth)):
-            self._table[row, value % self.width] += count
+        cells = self._table.reshape(-1)
+        for slot in self.slots(item):
+            cells[slot] += count
         self.total += count
 
     def add_batch(self, items: Iterable[Hashable],
@@ -103,19 +111,15 @@ class CountMinSketch:
         if not totals:
             return
         n = len(totals)
-        rows = np.repeat(np.arange(self.depth), n)
-        hashes = np.array([_hashes(item, self.depth) for item in totals],
-                          dtype=np.uint64)
-        cols = (hashes % np.uint64(self.width)).astype(np.int64).T.ravel()
+        slots = np.array([self.slots(item) for item in totals],
+                         dtype=np.int64)
         amounts = np.fromiter(totals.values(), dtype=np.int64, count=n)
-        np.add.at(self._table, (rows, cols), np.tile(amounts, self.depth))
+        np.add.at(self._table.reshape(-1), slots.ravel(),
+                  np.repeat(amounts, self.depth))
         self.total += int(amounts.sum())
 
     def estimate(self, item: Hashable) -> int:
-        return int(min(
-            self._table[row, value % self.width]
-            for row, value in enumerate(_hashes(item, self.depth))
-        ))
+        return int(min(self._table.item(slot) for slot in self.slots(item)))
 
     def merge(self, other: "CountMinSketch") -> None:
         """Fold another sketch in; equivalent to adding its stream.
@@ -157,9 +161,14 @@ class BloomFilter:
         self._bits = np.zeros(self.n_bits, dtype=bool)
         self.count = 0
 
+    def slots(self, item: Hashable) -> List[int]:
+        """The ``_bits`` positions ``item`` sets:
+        ``_hash64(item, i) % n_bits`` for each hash index ``i``."""
+        n_bits = self.n_bits
+        return [value % n_bits for value in _hashes(item, self.n_hashes)]
+
     def add(self, item: Hashable) -> None:
-        for value in _hashes(item, self.n_hashes):
-            self._bits[value % self.n_bits] = True
+        self._bits[self.slots(item)] = True
         self.count += 1
 
     def add_batch(self, items: Iterable[Hashable]) -> None:
@@ -175,18 +184,14 @@ class BloomFilter:
             distinct[item] = None
         if distinct:
             positions = np.fromiter(
-                (value % self.n_bits for item in distinct
-                 for value in _hashes(item, self.n_hashes)),
+                (slot for item in distinct for slot in self.slots(item)),
                 dtype=np.int64, count=len(distinct) * self.n_hashes,
             )
             self._bits[positions] = True
         self.count += total
 
     def __contains__(self, item: Hashable) -> bool:
-        return all(
-            self._bits[value % self.n_bits]
-            for value in _hashes(item, self.n_hashes)
-        )
+        return all(self._bits[slot] for slot in self.slots(item))
 
     def merge(self, other: "BloomFilter") -> None:
         """OR another filter in; requires identical bit geometry."""

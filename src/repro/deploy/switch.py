@@ -121,6 +121,9 @@ class EmulatedSwitch:
         # Data-plane sensing structures (realism + SRAM accounting).
         self.byte_sketch = CountMinSketch(width=2048, depth=3)
         self.seen_filter = BloomFilter(capacity=50_000, fp_rate=0.01)
+        #: endpoint -> (count-min slots, Bloom slots); bounded by the
+        #: Bloom filter's capacity and cleared wholesale when full
+        self._slot_memo: Dict[str, Tuple[List[int], List[int]]] = {}
         # Chaos/resilience wiring: injected data-plane faults plus a
         # circuit breaker around the react step.  When the breaker is
         # open the switch degrades to shadow behaviour (verdicts logged,
@@ -182,12 +185,13 @@ class EmulatedSwitch:
     def _on_packets(self, packets: List[PacketRecord]) -> None:
         """Sense one delivered batch.
 
-        Per packet: endpoint and window bucketing and the featurizer's
-        counters.  Per batch: one count-min and one Bloom update per
-        distinct endpoint (count-min adds commute and Bloom bits are
-        idempotent, so the state equals per-packet updates).  Tags are
-        extracted only for DNS packets, the only ones whose counters
-        read them, and only when payload features are on.
+        Per packet: endpoint and window bucketing, the endpoint's byte
+        total and the featurizer's counters.  Per batch: one count-min
+        and one Bloom update per distinct endpoint (count-min adds
+        commute and Bloom bits are idempotent, so the state equals
+        per-packet updates).  Tags are extracted only for DNS packets,
+        the only ones whose counters read them, and only when payload
+        features are on.
         """
         if self.obs is not None:
             self._m_packets.inc(len(packets))
@@ -208,16 +212,15 @@ class EmulatedSwitch:
         extract = self._metadata.extract
         accumulate = self._featurizer._accumulate
         buckets = self._buckets
-        endpoints: List[str] = []
-        sizes: List[int] = []
+        endpoint_bytes: Dict[str, int] = {}
         untracked = 0
         for packet in packets:
             if packet.direction == "in":
                 endpoint = packet.src_ip
             else:
                 endpoint = packet.dst_ip
-            endpoints.append(endpoint)
-            sizes.append(packet.size)
+            endpoint_bytes[endpoint] = \
+                endpoint_bytes.get(endpoint, 0) + packet.size
             window_start = math.floor(packet.timestamp / window_s) * window_s
             bucket = buckets.get(window_start)
             if bucket is None:
@@ -237,12 +240,40 @@ class EmulatedSwitch:
                 tags = _NO_TAGS
             accumulate(example, packet, tags)
         self.packets_processed += len(packets)
-        self.byte_sketch.add_batch(endpoints, sizes)
-        self.seen_filter.add_batch(endpoints)
+        self._sketch_endpoints(endpoint_bytes, len(packets))
         if untracked:
             self.untracked_packets += untracked
             if self.obs is not None:
                 self._m_untracked.inc(untracked)
+
+    def _sketch_endpoints(self, endpoint_bytes: Dict[str, int],
+                          n_packets: int) -> None:
+        """Add each endpoint's byte total to the count-min table and set
+        its Bloom bits, with scalar updates at memoized slots.
+
+        Equal to ``add_batch`` over the batch's per-packet endpoints
+        and sizes; a replay batch holds a handful of endpoints, where
+        numpy's fixed cost per call outweighs the updates themselves.
+        """
+        sketch = self.byte_sketch
+        bloom = self.seen_filter
+        memo = self._slot_memo
+        cells = sketch._table.reshape(-1)
+        bits = bloom._bits
+        for endpoint, size in endpoint_bytes.items():
+            slots = memo.get(endpoint)
+            if slots is None:
+                if len(memo) >= bloom.capacity:
+                    memo.clear()
+                slots = memo[endpoint] = (sketch.slots(endpoint),
+                                          bloom.slots(endpoint))
+            cm_slots, bloom_slots = slots
+            for slot in cm_slots:
+                cells[slot] += size
+            for slot in bloom_slots:
+                bits[slot] = True
+        sketch.total += sum(endpoint_bytes.values())
+        bloom.count += n_packets
 
     # -- infer + react ---------------------------------------------------------
 

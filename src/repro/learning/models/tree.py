@@ -66,6 +66,46 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def _leaf_index(root: TreeNode, X: np.ndarray) \
+        -> Tuple[List[TreeNode], np.ndarray]:
+    """The leaves of the tree under ``root``, and for each row of ``X``
+    the position in that list of the leaf the row lands in.
+
+    The tree is flattened into (feature, threshold, left, right) arrays
+    on every call, so there is no cache to invalidate, then all rows
+    descend one level at a time with the same ``x[f] <= t`` test as
+    ``decision_path``: NaN goes right, a value equal to the threshold
+    goes left.
+    """
+    nodes = [root]
+    for node in nodes:                     # breadth-first; nodes grows
+        if node.feature is not None:
+            nodes += (node.left, node.right)
+    n = len(nodes)
+    split = np.fromiter((node.feature is not None for node in nodes),
+                        dtype=bool, count=n)
+    feature = np.fromiter((node.feature if node.feature is not None
+                           else 0 for node in nodes), dtype=np.intp,
+                          count=n)
+    threshold = np.fromiter((node.threshold if node.feature is not None
+                             else 0.0 for node in nodes), dtype=float,
+                            count=n)
+    # the k-th split node's children were appended at 2k+1 and 2k+2;
+    # a leaf is its own child, so finished rows stay put
+    left = np.where(split, 2 * np.cumsum(split) - 1, np.arange(n))
+    right = np.where(split, left + 1, left)
+    leaf_pos = np.cumsum(~split) - 1
+    at = np.zeros(len(X), dtype=np.intp)
+    active = np.arange(len(X)) if split[0] else np.empty(0, dtype=np.intp)
+    while len(active):
+        here = at[active]
+        go_left = X[active, feature[here]] <= threshold[here]
+        there = np.where(go_left, left[here], right[here])
+        at[active] = there
+        active = active[split[there]]
+    return [node for node in nodes if node.feature is None], leaf_pos[at]
+
+
 class _TreeBuilder:
     """Shared recursive CART builder."""
 
@@ -251,22 +291,17 @@ class DecisionTreeClassifier(Classifier):
         self.root_ = builder.build(X, y, sample_weight, self.n_classes_)
         return self
 
-    def _leaf_for(self, x) -> TreeNode:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold \
-                else node.right
-        return node
-
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
         X = self._check_Xy(X)
-        out = np.zeros((len(X), self.n_classes_))
-        for i, x in enumerate(X):
-            counts = self._leaf_for(x).value
+        leaves, index = _leaf_index(self.root_, X)
+        proba = np.empty((len(leaves), self.n_classes_))
+        # only the leaves some row reached: one row need not pay for all
+        for i in np.flatnonzero(np.bincount(index, minlength=len(leaves))):
+            counts = leaves[i].value
             total = counts.sum()
-            out[i] = counts / total if total > 0 else 1.0 / self.n_classes_
-        return out
+            proba[i] = counts / total if total > 0 else 1.0 / self.n_classes_
+        return proba[index]
 
     def decision_path(self, x) -> List[TreeNode]:
         """Root-to-leaf node sequence for one sample (evidence lists)."""
@@ -348,11 +383,5 @@ class DecisionTreeRegressor:
         if self.root_ is None:
             raise NotFittedError("regressor not fitted")
         X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        for i, x in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold \
-                    else node.right
-            out[i] = node.value[0]
-        return out
+        leaves, index = _leaf_index(self.root_, X)
+        return np.array([leaf.value[0] for leaf in leaves])[index]

@@ -226,3 +226,20 @@ class TestHashFamily:
     def test_hashes_equal_per_salt_hash64(self, item, n):
         assert _hashes(item, n) == [_hash64(item, salt)
                                     for salt in range(n)]
+
+    def test_slots_follow_golden_hash64(self):
+        sketch = CountMinSketch(width=2048, depth=7)
+        bloom = BloomFilter(capacity=50_000, fp_rate=0.01)
+        assert bloom.n_hashes == 7
+        for item in ("10.0.0.1", 42, 1.5):
+            cm_slots, bloom_slots = sketch.slots(item), bloom.slots(item)
+            for salt in (0, 1, 6):
+                golden = self.GOLDEN[(item, salt)]
+                assert cm_slots[salt] == \
+                    salt * sketch.width + golden % sketch.width
+                assert bloom_slots[salt] == golden % bloom.n_bits
+            assert cm_slots == [
+                row * sketch.width + _hash64(item, row) % sketch.width
+                for row in range(sketch.depth)]
+            assert bloom_slots == [_hash64(item, i) % bloom.n_bits
+                                   for i in range(bloom.n_hashes)]

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos.faults import FaultKind, FaultPlan, FaultSpec
+from repro.deploy.sketches import BloomFilter
 from repro.deploy.switch import EmulatedSwitch, SwitchConfig
 from repro.events import DnsAmplificationAttack, Scenario, run_scenario
 from repro.learning.features import WindowExample
@@ -234,6 +235,35 @@ def test_full_key_table_counts_untracked_packets():
         assert endpoint in switch.seen_filter
         assert switch.byte_sketch.estimate(endpoint) >= sum(
             p.size for p in packets if p.src_ip == endpoint)
+
+
+def test_slot_memo_overflow_keeps_sketches_exact():
+    """More distinct endpoints than the memo holds: it is cleared when
+    full, and the sketches still equal per-packet updates."""
+    batched, oracle = _pair()
+    for switch in (batched, oracle):
+        switch.seen_filter = BloomFilter(capacity=4, fp_rate=0.01)
+    endpoints = [f"203.0.113.{i}" for i in range(1, 12)]
+    sizes = []
+    for batch_no in range(5):
+        batch = [
+            PacketRecord(timestamp=batch_no + 0.1 * i,
+                         src_ip=endpoints[(3 * batch_no + i) % 11],
+                         dst_ip=INTERNAL[0], src_port=443, dst_port=40000,
+                         protocol=6, size=60 + 7 * i + batch_no,
+                         payload_len=0, flags=0x10, ttl=60, payload=b"",
+                         flow_id=i, app="web", label="benign",
+                         direction="in")
+            for i in range(6)
+        ]
+        sizes.extend(packet.size for packet in batch)
+        batched._on_packets(batch)
+        oracle._on_packets(batch)
+        assert len(batched._slot_memo) <= 4
+        _assert_same_state(batched, oracle)
+    assert batched.byte_sketch.total == sum(sizes)
+    assert batched.seen_filter.count == len(sizes)
+    assert all(endpoint in batched.seen_filter for endpoint in endpoints)
 
 
 def _replayed_day(switch_cls):

@@ -8,6 +8,13 @@ from repro.learning.models import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     NotFittedError,
+    RandomForestClassifier,
+)
+
+from tests.learning.tree_reference import (
+    reference_forest_proba,
+    reference_predict,
+    reference_predict_proba,
 )
 
 
@@ -132,3 +139,100 @@ def test_property_depth_bound_holds(depth):
     tree = DecisionTreeClassifier(max_depth=depth).fit(X, y)
     assert tree.depth <= depth
     assert tree.n_leaves <= 2 ** depth
+
+
+def _thresholds(root):
+    """(feature, threshold) of every split under ``root``."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            out.append((node.feature, node.threshold))
+            stack.extend((node.left, node.right))
+    return out
+
+
+def _probe_rows(rng, X, root, n_rows):
+    """Rows that stress the descent: fresh draws, values exactly at
+    split thresholds, and NaN features."""
+    if n_rows == 0:
+        return np.zeros((0, X.shape[1]))
+    rows = rng.normal(size=(n_rows, X.shape[1])).round(1)
+    rows[: n_rows // 3] = X[rng.integers(0, len(X), n_rows // 3)]
+    for row, (feature, threshold) in zip(rows[n_rows // 3:],
+                                          _thresholds(root)):
+        row[feature] = threshold
+    rows[rng.random(rows.shape) < 0.1] = np.nan
+    return rows
+
+
+def _fit_data(rng, n_features, n_classes, single_leaf):
+    X = rng.normal(size=(120, n_features)).round(1)   # ties on purpose
+    if single_leaf:
+        y = np.full(len(X), n_classes - 1)
+    else:
+        y = rng.integers(0, n_classes, size=len(X))
+    return X, y
+
+
+fit_params = dict(
+    seed=st.integers(0, 2 ** 16),
+    depth=st.integers(1, 12),
+    n_features=st.integers(1, 5),
+    n_classes=st.integers(2, 5),
+    weighted=st.booleans(),
+    single_leaf=st.booleans(),
+    n_rows=st.sampled_from([0, 1, 7, 60]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**fit_params)
+def test_classifier_proba_equals_per_row_reference(
+        seed, depth, n_features, n_classes, weighted, single_leaf, n_rows):
+    rng = np.random.default_rng(seed)
+    X, y = _fit_data(rng, n_features, n_classes, single_leaf)
+    weight = rng.uniform(0.1, 5.0, size=len(y)) if weighted else None
+    tree = DecisionTreeClassifier(max_depth=depth).fit(
+        X, y, sample_weight=weight, n_classes=n_classes)
+    rows = _probe_rows(rng, X, tree.root_, n_rows)
+    assert np.array_equal(tree.predict_proba(rows),
+                          reference_predict_proba(tree, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**fit_params)
+def test_regressor_predict_equals_per_row_reference(
+        seed, depth, n_features, n_classes, weighted, single_leaf, n_rows):
+    rng = np.random.default_rng(seed)
+    X, y = _fit_data(rng, n_features, n_classes, single_leaf)
+    target = y + rng.normal(scale=0.0 if single_leaf else 0.3,
+                            size=len(y))
+    weight = rng.uniform(0.1, 5.0, size=len(y)) if weighted else None
+    reg = DecisionTreeRegressor(max_depth=depth).fit(
+        X, target, sample_weight=weight)
+    rows = _probe_rows(rng, X, reg.root_, n_rows)
+    assert np.array_equal(reg.predict(rows), reference_predict(reg, rows))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), depth=st.integers(1, 12),
+       n_classes=st.integers(2, 5), n_rows=st.sampled_from([0, 1, 40]))
+def test_forest_proba_equals_per_row_reference(seed, depth, n_classes,
+                                               n_rows):
+    rng = np.random.default_rng(seed)
+    X, y = _fit_data(rng, 4, n_classes, single_leaf=False)
+    forest = RandomForestClassifier(n_estimators=5, max_depth=depth,
+                                    random_state=seed).fit(X, y)
+    rows = _probe_rows(rng, X, forest.trees_[0].root_, n_rows)
+    assert np.array_equal(forest.predict_proba(rows),
+                          reference_forest_proba(forest, rows))
+
+
+def test_nan_goes_right_and_threshold_goes_left():
+    X = np.asarray([[0.0], [1.0], [2.0], [3.0]])
+    tree = DecisionTreeClassifier(max_depth=1).fit(X, [0, 0, 1, 1])
+    threshold = tree.root_.threshold
+    proba = tree.predict_proba([[threshold], [np.nan]])
+    assert proba[0].tolist() == [1.0, 0.0]
+    assert proba[1].tolist() == [0.0, 1.0]
