@@ -193,7 +193,7 @@ class CaptureEngine:
         if not len(packets):
             return
         if isinstance(packets, PacketColumns):
-            rejected_bytes = float(packets.size.sum())
+            rejected_bytes = int(packets.size.sum())
         else:
             rejected_bytes = sum(map(attrgetter("size"), packets))
         self.stats.packets_backpressure_dropped += len(packets)
@@ -226,7 +226,7 @@ class CaptureEngine:
         n = len(cols)
         if n == 0:
             return cols
-        offered_bytes = float(cols.size.sum())
+        offered_bytes = int(cols.size.sum())
         self.stats.packets_offered += n
         self.stats.bytes_offered += offered_bytes
         if self.lossless:
@@ -272,7 +272,7 @@ class CaptureEngine:
                     admitted[j] = True
             keep[group] = admitted
             self._bin_bytes[bin_id] = used
-        captured_bytes = float(sizes[keep].sum())
+        captured_bytes = int(sizes[keep].sum())
         n_kept = int(keep.sum())
         self.stats.packets_captured += n_kept
         self.stats.bytes_captured += captured_bytes

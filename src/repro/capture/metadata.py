@@ -13,30 +13,92 @@ attribution (which department the internal endpoint belongs to).
 from __future__ import annotations
 
 import struct
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.capture.flows import WELL_KNOWN_SERVICES
-from repro.netsim.packets import PacketColumns, PacketRecord, Protocol
+from repro.netsim.packets import (
+    DictColumn,
+    PacketColumns,
+    PacketRecord,
+    Protocol,
+    u32_to_ip,
+)
 from repro.netsim.traffic.payloads import decode_dns_qname
 
 _BATCH_CACHE_LIMIT = 1 << 18
 
 
-def _group_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(group of each row, first row of each group) for rows keyed by
-    the given integer columns; groups in lexicographic key order.  The
-    key is built one column at a time and re-densified after each, so
-    it never outgrows int64 (a 1-D sort instead of a row sort)."""
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    for column in columns:
-        values, codes = np.unique(column, return_inverse=True)
-        _, key = np.unique(key * len(values) + codes.reshape(-1),
-                           return_inverse=True)
-    _, first, groups = np.unique(key, return_index=True,
-                                 return_inverse=True)
-    return groups.reshape(-1), first
+#: the well-known ports, sorted, and the index of each port's service
+#: name in ``_SERVICE_NAMES``, whose last entry is "other"
+_SERVICE_PORTS = np.array(sorted(WELL_KNOWN_SERVICES), dtype=np.int64)
+_SERVICE_NAMES = sorted(set(WELL_KNOWN_SERVICES.values())) + ["other"]
+_SERVICE_OF_PORT = np.array(
+    [_SERVICE_NAMES.index(WELL_KNOWN_SERVICES[port])
+     for port in _SERVICE_PORTS.tolist()], dtype=np.int64)
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _service_codes(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Index into ``_SERVICE_NAMES`` per row: the low port's well-known
+    service, else the high port's, else "other" (what ``extract``
+    finds walking the sorted ports)."""
+    ports = _SERVICE_PORTS
+    out = np.full(len(low), len(_SERVICE_NAMES) - 1, dtype=np.int64)
+    for side in (high, low):                 # the low port writes last
+        at = np.minimum(np.searchsorted(ports, side), len(ports) - 1)
+        hit = ports[at] == side
+        out[hit] = _SERVICE_OF_PORT[at[hit]]
+    return out
+
+
+def _dense(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(codes, cardinality) of an int64 column, codes in value order:
+    offsets from the minimum when the values span no more than the
+    rows, else ``np.unique``'s inverse.  Either way the cardinality is
+    at most the row count."""
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < len(values):
+        return values - lo, hi - lo + 1
+    distinct, codes = np.unique(values, return_inverse=True)
+    return codes.reshape(-1), len(distinct)
+
+
+def _group(*parts: Tuple[np.ndarray, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(group of each row, one row of each group) for rows keyed by
+    ``(codes, cardinality)`` parts, groups in lexicographic key order.
+    The parts fold into one 1-D int64 key.  Where a fold could
+    overflow, both sides are re-densified first (each then has at most
+    as many values as rows), and past that (billions of rows) the pair
+    is ranked as rows of a 2-D array, so the key never overflows at any
+    batch size.  A key with no more possible values than rows groups
+    through a presence table instead of a sort."""
+    key, bound = parts[0]
+    for codes, cardinality in parts[1:]:
+        if bound * cardinality > _INT64_MAX:
+            key, bound = _dense(key)
+            codes, cardinality = _dense(codes)
+        if bound * cardinality > _INT64_MAX:
+            pairs, key = np.unique(np.stack([key, codes], axis=1), axis=0,
+                                   return_inverse=True)
+            key, bound = key.reshape(-1), len(pairs)
+        else:
+            key = key * cardinality + codes
+            bound *= cardinality
+    n = len(key)
+    if bound > n:
+        _, rows, groups = np.unique(key, return_index=True,
+                                    return_inverse=True)
+        return groups.reshape(-1), rows
+    present = np.zeros(bound, dtype=bool)
+    present[key] = True
+    groups = (np.cumsum(present) - 1)[key]
+    rows = np.empty(int(np.count_nonzero(present)), dtype=np.int64)
+    rows[groups] = np.arange(n)
+    return groups, rows
 
 
 class MetadataExtractor:
@@ -57,99 +119,132 @@ class MetadataExtractor:
         tagged ``tag_sets[codes[i]]``.
 
         This is how the store keeps tags (one code per row), so the tap
-        path never builds a dict per packet.  Header-derived base tags
-        are computed once per distinct (protocol, direction, low-port,
-        high-port) combination in the batch; payload and topology
-        lookups reuse the same memo caches as the record path.  Row
-        ``i``'s tag set equals :meth:`extract` of the row's record; the
-        returned tag sets are fresh dicts, never the memo caches'.
+        path never builds a dict per packet.  The work follows distinct
+        keys, not rows: base tags once per distinct (protocol,
+        direction, service), payload tags once per distinct payload,
+        departments once per distinct internal address; then one tag
+        set per distinct (base, payload tags, department).  Payload and
+        topology lookups reuse the same memo caches as the record path.
+        Row ``i``'s tag set equals :meth:`extract` of the row's record;
+        the returned tag sets are fresh dicts, never the memo caches'.
         """
         n = len(cols)
         if n == 0:
             return np.zeros(0, dtype=np.int64), []
         base_cache = self._base_cache
-        payload_cache = self._payload_cache
         if len(base_cache) > _BATCH_CACHE_LIMIT:
             base_cache.clear()
-        if len(payload_cache) > _BATCH_CACHE_LIMIT:
-            payload_cache.clear()
-        services = WELL_KNOWN_SERVICES
         src_port = cols.src_port.astype(np.int64)
         dst_port = cols.dst_port.astype(np.int64)
-        low = np.minimum(src_port, dst_port)
-        high = np.maximum(src_port, dst_port)
         protocol = cols.protocol.astype(np.int64)
-        dir_codes = np.asarray(cols.direction.codes)
-        inverse, first = _group_rows(protocol, dir_codes, low, high)
+        dir_codes = np.asarray(cols.direction.codes, dtype=np.int64)
+        service = _service_codes(np.minimum(src_port, dst_port),
+                                 np.maximum(src_port, dst_port))
+        base_of, rows = _group(_dense(protocol), _dense(dir_codes),
+                               (service, len(_SERVICE_NAMES)))
         dir_values = cols.direction.values
-        base_by_combo: List[Dict[str, str]] = []
-        for proto, dcode, port_lo, port_hi in zip(
-                protocol[first].tolist(), dir_codes[first].tolist(),
-                low[first].tolist(), high[first].tolist()):
-            service = services.get(int(port_lo)) \
-                or services.get(int(port_hi)) or "other"
-            base_key = (int(proto), dir_values[int(dcode)], service)
+        bases: List[Dict[str, str]] = []
+        for proto, dcode, scode in zip(protocol[rows].tolist(),
+                                       dir_codes[rows].tolist(),
+                                       service[rows].tolist()):
+            base_key = (proto, dir_values[dcode], _SERVICE_NAMES[scode])
             base = base_cache.get(base_key)
             if base is None:
                 base = base_cache[base_key] = {
-                    "proto": Protocol(int(proto)).name.lower()
-                    if int(proto) in (1, 6, 17) else str(int(proto)),
-                    "direction": dir_values[int(dcode)],
-                    "service": service,
+                    "proto": Protocol(proto).name.lower()
+                    if proto in (1, 6, 17) else str(proto),
+                    "direction": base_key[1],
+                    "service": base_key[2],
                 }
-            base_by_combo.append(base)
-
-        # Each row's tags are (base combo, payload tags, department);
-        # the payload and department parts are interned per batch so
-        # the row key is three small ints.
-        parts: List[Dict[str, str]] = [{}]
-        part_of: Dict[int, int] = {}
-        payload_part = np.zeros(n, dtype=np.int64)
-        udp = int(Protocol.UDP)
-        for i, payload in enumerate(cols.payload):
-            if not payload:
-                continue
-            is_dns = protocol[i] == udp and \
-                (src_port[i] == 53 or dst_port[i] == 53)
-            payload_key = (payload, bool(is_dns))
-            payload_tags = payload_cache.get(payload_key)
-            if payload_tags is None:
-                payload_tags = payload_cache[payload_key] = \
-                    self._dns_tags(payload) if is_dns else \
-                    self._app_payload_tags(payload)
-            slot = part_of.get(id(payload_tags))
-            if slot is None:
-                slot = part_of[id(payload_tags)] = len(parts)
-                parts.append(payload_tags)
-            payload_part[i] = slot
-
-        depts: List[Optional[str]] = [None]
-        dept_part = np.zeros(n, dtype=np.int64)
-        if self._topology is not None:
-            dept_of: Dict[str, int] = {}
-            in_code = cols.direction.code_of("in")
-            for i in range(n):
-                column = cols.dst_ip if dir_codes[i] == in_code \
-                    else cols.src_ip
-                dept = self._department(cols._ip_at(column, i))
-                if dept:
-                    slot = dept_of.get(dept)
-                    if slot is None:
-                        slot = dept_of[dept] = len(depts)
-                        depts.append(dept)
-                    dept_part[i] = slot
-
-        codes, first = _group_rows(inverse, payload_part, dept_part)
+            bases.append(base)
+        payload_part, payloads = self._payload_parts(cols, protocol,
+                                                     src_port, dst_port)
+        dept_part, depts = self._department_parts(cols, dir_codes)
+        codes, rows = _group((base_of, len(bases)),
+                              (payload_part, len(payloads)),
+                              (dept_part, len(depts)))
         tag_sets: List[Dict[str, str]] = []
-        for combo, part, dept_slot in zip(inverse[first].tolist(),
-                                          payload_part[first].tolist(),
-                                          dept_part[first].tolist()):
-            tags = dict(base_by_combo[combo])
-            tags.update(parts[part])
-            if dept_slot:
-                tags["department"] = depts[dept_slot]
+        for base, part, dept in zip(base_of[rows].tolist(),
+                                    payload_part[rows].tolist(),
+                                    dept_part[rows].tolist()):
+            tags = dict(bases[base])
+            tags.update(payloads[part])
+            if dept:
+                tags["department"] = depts[dept]
             tag_sets.append(tags)
         return codes, tag_sets
+
+    def _payload_parts(self, cols: PacketColumns, protocol: np.ndarray,
+                       src_port: np.ndarray, dst_port: np.ndarray) \
+            -> Tuple[np.ndarray, List[Dict[str, str]]]:
+        """(part of each row, distinct payload tag sets); part 0 is the
+        empty set of a row without payload."""
+        parts: List[Dict[str, str]] = [{}]
+        part = np.zeros(len(cols), dtype=np.int64)
+        payload = cols.payload
+        rows = list(compress(range(len(payload)), payload))
+        if not rows:
+            return part, parts
+        payload_cache = self._payload_cache
+        if len(payload_cache) > _BATCH_CACHE_LIMIT:
+            payload_cache.clear()
+        at = np.array(rows, dtype=np.int64)
+        is_dns = (protocol[at] == int(Protocol.UDP)) & \
+            ((src_port[at] == 53) | (dst_port[at] == 53))
+        slot_of: Dict[int, int] = {}            # id of a cached tag dict
+        slot_of_content: Dict[Tuple, int] = {}
+        for i, dns in zip(rows, is_dns.tolist()):
+            payload_key = (payload[i], dns)
+            tags = payload_cache.get(payload_key)
+            if tags is None:
+                tags = payload_cache[payload_key] = \
+                    self._dns_tags(payload[i]) if dns else \
+                    self._app_payload_tags(payload[i])
+            slot = slot_of.get(id(tags))
+            if slot is None:
+                slot = slot_of[id(tags)] = slot_of_content.setdefault(
+                    tuple(tags.items()), len(parts))
+                if slot == len(parts):
+                    parts.append(tags)
+            part[i] = slot
+        return part, parts
+
+    def _department_parts(self, cols: PacketColumns,
+                          dir_codes: np.ndarray) \
+            -> Tuple[np.ndarray, List[Optional[str]]]:
+        """(part of each row, departments); part 0 means no department
+        (no topology, or an internal address it does not attribute).
+        The internal address is the destination of an inbound row and
+        the source of any other; each distinct one is looked up once."""
+        depts: List[Optional[str]] = [None]
+        part = np.zeros(len(cols), dtype=np.int64)
+        if self._topology is None:
+            return part, depts
+        in_code = cols.direction.code_of("in")
+        inbound = dir_codes == in_code if in_code is not None \
+            else np.zeros(len(cols), dtype=bool)
+        slot_of: Dict[str, int] = {}
+        for column, rows in ((cols.dst_ip, np.flatnonzero(inbound)),
+                             (cols.src_ip, np.flatnonzero(~inbound))):
+            if not len(rows):
+                continue
+            if isinstance(column, DictColumn):
+                distinct, inverse = np.unique(column.codes[rows],
+                                              return_inverse=True)
+                addresses = [column.values[c] for c in distinct.tolist()]
+            else:
+                distinct, inverse = np.unique(column[rows],
+                                              return_inverse=True)
+                addresses = [u32_to_ip(v) for v in distinct.tolist()]
+            slots = np.zeros(len(addresses), dtype=np.int64)
+            for j, address in enumerate(addresses):
+                dept = self._department(address)
+                if dept:
+                    slots[j] = slot_of.setdefault(dept, len(depts))
+                    if slots[j] == len(depts):
+                        depts.append(dept)
+            part[rows] = slots[inverse.reshape(-1)]
+        return part, depts
 
     def _department(self, internal_ip: str) -> Optional[str]:
         dept = self._dept_cache.get(internal_ip)

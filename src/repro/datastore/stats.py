@@ -175,6 +175,24 @@ class ColumnStats:
         return min(1.0, estimate[0] / self.n)
 
 
+#: integral floats below this magnitude fold onto ints exactly
+_EXACT_INT = float(1 << 53)
+
+
+def _numeric_keys(values: np.ndarray) -> List:
+    """:func:`stat_key` of each value of a numeric column: one
+    ``astype(int64)`` when every value is finite, integral and below
+    2^53 in magnitude, else ``stat_key`` per value."""
+    if values.dtype.kind in "iu":
+        return values.tolist()
+    if values.dtype.kind == "f" and len(values):
+        magnitude = np.abs(values)
+        if magnitude.max() < _EXACT_INT \
+                and (np.floor(magnitude) == magnitude).all():
+            return values.astype(np.int64).tolist()
+    return [stat_key(v) for v in values.tolist()]
+
+
 def keyed_value_counts(cols, fld, positions: Optional[np.ndarray] = None) \
         -> Optional[Tuple[List, np.ndarray, bool]]:
     """(keys, counts, ip_canonical) of one column, in one pass over the
@@ -187,7 +205,7 @@ def keyed_value_counts(cols, fld, positions: Optional[np.ndarray] = None) \
     if fld in NUMERIC_FIELDS:
         values, counts = np.unique(rows(getattr(cols, fld)),
                                    return_counts=True)
-        return [stat_key(v) for v in values.tolist()], counts, False
+        return _numeric_keys(values), counts, False
     if fld not in ("src_ip", "dst_ip") and fld not in _STRING_FIELDS:
         return None
     column = getattr(cols, fld)
@@ -200,9 +218,31 @@ def keyed_value_counts(cols, fld, positions: Optional[np.ndarray] = None) \
         False
 
 
+def _topk(keys: List, counts: np.ndarray) -> List[Tuple[Hashable, int]]:
+    """The ``TOPK`` heaviest keys by (-count, str(key)): candidates are
+    every key whose count reaches the k-th largest (``np.partition``),
+    and only they are sorted, so ties break as in a full sort."""
+    ndv = len(keys)
+    if ndv > TOPK:
+        kth = np.partition(counts, ndv - TOPK)[ndv - TOPK]
+        candidates = np.flatnonzero(counts >= kth).tolist()
+    else:
+        candidates = range(ndv)
+    order = sorted(candidates,
+                   key=lambda i: (-int(counts[i]), str(keys[i])))
+    return [(keys[i], int(counts[i])) for i in order[:TOPK]]
+
+
 def _column_stats_from_pairs(fld: str, keys: List, counts: np.ndarray,
-                             ip_canonical: bool = False) -> ColumnStats:
-    """Assemble one column's stats from its exact (key, count) pairs."""
+                             ip_canonical: bool = False,
+                             hll: Optional[HyperLogLog] = None,
+                             memo: Optional[Dict] = None) -> ColumnStats:
+    """Assemble one column's stats from its exact (key, count) pairs.
+
+    ``hll``, when given, is the column's HyperLogLog already (a merge
+    passes the register-wise max of its parts), so no key is hashed for
+    it; ``memo`` is the caller's HLL hash memo (see
+    :meth:`HyperLogLog.add_batch`)."""
     # Imported at call time: repro.deploy pulls in the learning package,
     # and a module-level import here would close an import cycle when
     # repro.learning is the entry point (learning.features -> datastore
@@ -211,17 +251,17 @@ def _column_stats_from_pairs(fld: str, keys: List, counts: np.ndarray,
         HyperLogLog
     n = int(counts.sum()) if len(counts) else 0
     ndv = len(keys)
-    hll = HyperLogLog(p=HLL_P)
-    hll.add_batch(keys)
-    order = sorted(range(ndv), key=lambda i: (-int(counts[i]), str(keys[i])))
-    topk = [(keys[i], int(counts[i])) for i in order[:TOPK]]
+    if hll is None:
+        hll = HyperLogLog(p=HLL_P)
+        hll.add_batch(keys, memo)
+    topk = _topk(keys, counts)
     if ndv <= EXACT_COUNTS_MAX:
-        exact = {key: int(count) for key, count in zip(keys, counts)}
+        exact = dict(zip(keys, counts.tolist()))
         return ColumnStats(field_name=fld, n=n, ndv=ndv, counts=exact,
                            cms=None, bloom=None, hll=hll, topk=topk,
                            ip_canonical=ip_canonical)
     cms = CountMinSketch(width=CMS_WIDTH, depth=CMS_DEPTH)
-    cms.add_batch(keys, [int(c) for c in counts])
+    cms.add_batch(keys, counts.tolist())
     bloom = BloomFilter(capacity=ndv, fp_rate=0.01)
     bloom.add_batch(keys)
     return ColumnStats(field_name=fld, n=n, ndv=ndv, counts=None,
@@ -239,14 +279,20 @@ class SegmentStats:
     @classmethod
     def build(cls, segment) -> "SegmentStats":
         """One pass over the segment's columns (or records, for
-        non-columnar collections restricted to indexed fields)."""
+        non-columnar collections restricted to indexed fields).
+
+        Every column shares one HLL hash memo, which lives for this call
+        only: ``src_ip``/``dst_ip`` and ``src_port``/``dst_port`` share
+        most of their values, and each distinct key is hashed once."""
         cols = segment.columns()
         summaries: Dict[str, ColumnStats] = {}
+        memo: Dict = {}
         if cols is not None:
             for fld in SKETCHED_PACKET_FIELDS:
                 pairs = keyed_value_counts(cols, fld)
                 if pairs is not None:
-                    summaries[fld] = _column_stats_from_pairs(fld, *pairs)
+                    summaries[fld] = _column_stats_from_pairs(
+                        fld, *pairs, memo=memo)
             return cls(n=len(segment), columns=summaries)
         field_of = segment.schema.field_of
         for fld in segment.schema.indexed_fields:
@@ -259,7 +305,8 @@ class SegmentStats:
                 keys = list(tallies)
                 counts = np.fromiter(tallies.values(), dtype=np.int64,
                                      count=len(keys))
-                summaries[fld] = _column_stats_from_pairs(fld, keys, counts)
+                summaries[fld] = _column_stats_from_pairs(fld, keys, counts,
+                                                          memo=memo)
         return cls(n=len(segment), columns=summaries)
 
     def column(self, fld: str) -> Optional[ColumnStats]:
@@ -296,10 +343,8 @@ def merge_column_stats(parts: List[ColumnStats]) -> ColumnStats:
         keys = list(merged)
         counts = np.fromiter(merged.values(), dtype=np.int64,
                              count=len(keys))
-        out = _column_stats_from_pairs(fld, keys, counts,
-                                       ip_canonical=ip_canonical)
-        out.hll = hll
-        return out
+        return _column_stats_from_pairs(fld, keys, counts,
+                                        ip_canonical=ip_canonical, hll=hll)
     cms = CountMinSketch(width=CMS_WIDTH, depth=CMS_DEPTH)
     for p in parts:
         if p.cms is not None:

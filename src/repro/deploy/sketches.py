@@ -210,6 +210,26 @@ class BloomFilter:
         return self.n_bits
 
 
+#: the HyperLogLog hash salt, and its packed bytes
+_HLL_SALT = 0xC0FFEE
+_HLL_SALT_BYTES = struct.pack("<I", _HLL_SALT)
+
+
+def _register_ranks(values: np.ndarray, p: int):
+    """(register, rank) of each 64-bit hash, as :meth:`HyperLogLog.add`
+    takes them: the low ``p`` bits pick the register, and the rank is
+    ``64 - p + 1 - bit_length(rest)`` of the remaining bits.  The bit
+    length is exact: each 32-bit half of ``rest`` is exact in float64,
+    and ``frexp``'s exponent of a half is its bit length (0 for 0)."""
+    values = np.asarray(values, dtype=np.uint64)
+    rest = values >> np.uint64(p)
+    high = np.frexp((rest >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((rest & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    bits = np.where(high > 0, high + 32, low)
+    registers = (values & np.uint64((1 << p) - 1)).astype(np.intp)
+    return registers, (64 - p + 1 - bits).astype(np.int8)
+
+
 class HyperLogLog:
     """Distinct counting with 2^p registers (p in [4, 16])."""
 
@@ -229,18 +249,42 @@ class HyperLogLog:
             self._alpha = 0.673
 
     def add(self, item: Hashable) -> None:
-        value = _hash64(item, 0xC0FFEE)
+        value = _hash64(item, _HLL_SALT)
         register = value & (self.m - 1)
         rest = value >> self.p
         rank = (64 - self.p) - rest.bit_length() + 1 if rest else 64 - self.p + 1
         if rank > self._registers[register]:
             self._registers[register] = rank
 
-    def add_batch(self, items: Iterable[Hashable]) -> None:
-        """Bulk insert; duplicates cannot move HLL registers, so each
-        distinct item is hashed exactly once."""
-        for item in dict.fromkeys(items):
-            self.add(item)
+    def add_batch(self, items: Iterable[Hashable],
+                  memo: Optional[Dict] = None) -> None:
+        """Bulk insert, equivalent to repeated :meth:`add`.
+
+        Duplicates cannot move HLL registers, so each distinct item is
+        hashed once, and the registers take every rank in one
+        ``np.maximum.at``.  ``memo``, when given, is a caller-owned
+        dict of hash digests keyed by ``(type(item), item)`` that
+        carries hashes across calls (a stats build shares one across
+        its columns); only ``int`` and ``str`` items use it, the types
+        whose equal values always have equal ``repr``.
+        """
+        salt = _HLL_SALT_BYTES
+        memo = {} if memo is None else memo
+        distinct = list(dict.fromkeys(items))
+        keys = list(zip(map(type, distinct), distinct))
+        digests = list(map(memo.get, keys))
+        for j, digest in enumerate(digests):
+            if digest is None:
+                digest = digests[j] = hashlib.blake2b(
+                    repr(distinct[j]).encode("utf-8") + salt,
+                    digest_size=8).digest()
+                if keys[j][0] is int or keys[j][0] is str:
+                    memo[keys[j]] = digest
+        if not digests:
+            return
+        registers, ranks = _register_ranks(
+            np.frombuffer(b"".join(digests), dtype="<u8"), self.p)
+        np.maximum.at(self._registers, registers, ranks)
 
     def estimate(self) -> float:
         inv_sum = float(np.sum(2.0 ** -self._registers.astype(float)))

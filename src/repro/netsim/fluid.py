@@ -192,10 +192,11 @@ def weighted_max_min(demand: np.ndarray, weights: np.ndarray,
     cap_left = np.asarray(capacity, dtype=np.float64).copy()
     alloc = np.zeros_like(demand)
     active = demand > RATE_EPSILON
+    active_weight = np.where(active, weights, 0.0)   # 0 once frozen
+    slack = RATE_EPSILON * weights
     for _ in range(len(demand) + len(cap_left) + 1):
         if not active.any():
             break
-        active_weight = np.where(active, weights, 0.0)
         load = membership @ active_weight            # weight per link
         live = load > 0
         link_delta = np.min(cap_left[live] / load[live]) \
@@ -206,8 +207,8 @@ def weighted_max_min(demand: np.ndarray, weights: np.ndarray,
         if not np.isfinite(delta) or delta < 0:
             break
         alloc += delta * active_weight
-        cap_left -= delta * (membership @ active_weight)
-        satisfied = active & (demand - alloc <= RATE_EPSILON * weights)
+        cap_left -= delta * load
+        satisfied = active & (demand - alloc <= slack)
         saturated = live & (cap_left <= RATE_EPSILON)
         choked = membership[saturated].any(axis=0) if saturated.any() \
             else np.zeros_like(active)
@@ -215,6 +216,7 @@ def weighted_max_min(demand: np.ndarray, weights: np.ndarray,
         if not frozen.any():
             frozen = active.copy()   # numerical corner: force progress
         active &= ~frozen
+        active_weight[frozen] = 0.0
     return alloc
 
 

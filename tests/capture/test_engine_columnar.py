@@ -64,6 +64,24 @@ class TestIngestColumns:
             assert getattr(col_engine.stats, fld) \
                 == getattr(rec_engine.stats, fld), fld
 
+    @pytest.mark.parametrize("kwargs", [
+        {}, dict(capacity_gbps=0.0005, buffer_bytes=10_000)])
+    def test_byte_counters_are_equal_ints(self, kwargs):
+        cols = _fluid_batch()
+        col_engine = CaptureEngine(**kwargs)
+        rec_engine = CaptureEngine(**kwargs)
+        col_engine.ingest_columns(cols)
+        rec_engine.ingest(_records(cols))
+        col_engine.account_backpressure(cols)
+        rec_engine.account_backpressure(_records(cols))
+        for fld in ("bytes_offered", "bytes_captured", "bytes_dropped",
+                    "bytes_backpressure_dropped"):
+            col, rec = (getattr(engine.stats, fld)
+                        for engine in (col_engine, rec_engine))
+            assert type(col) is int and type(rec) is int, fld
+            assert col == rec, fld
+        assert col_engine.stats.bytes_offered > 0
+
     def test_subscribers_receive_columns(self):
         cols = _fluid_batch()
         engine = CaptureEngine()
