@@ -13,7 +13,7 @@ primitive benchmarks bound what switching obs on actually costs.
 import numpy as np
 import pytest
 
-from repro.datastore import DataStore, Query
+from repro.datastore import Query, TieredDataStore, TierPolicy
 from repro.netsim.packets import PacketRecord
 from repro.obs import Observability
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
@@ -30,8 +30,13 @@ def _packets(n):
     ) for i in range(n)]
 
 
+#: one memtable holds the whole input, as the unsealed segment these
+#: timings were first recorded on did
+UNSEALED = TierPolicy(memtable_records=50_000)
+
+
 def _ingest_and_query(obs):
-    store = DataStore(obs=obs)
+    store = TieredDataStore(policy=UNSEALED, obs=obs)
     store.ingest_packets(_PACKETS)
     return store.query(Query(collection="packets", time_range=(5.0, 6.0),
                              where={"dst_ip": "10.0.0.1"}))

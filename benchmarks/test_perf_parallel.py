@@ -18,13 +18,16 @@ import pytest
 
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.query import Query
-from repro.datastore.store import ShardedDataStore
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.learning.features import SourceWindowFeaturizer
 from repro.netsim.packets import PacketColumns, PacketRecord
 from repro.parallel import ParallelExecutor
 
 N_SHARDS = 4
 N_PACKETS = 20_000
+#: one memtable per shard holds the whole input, as the unsealed
+#: segments these timings were first recorded on did
+UNSEALED = TierPolicy(memtable_records=50_000)
 
 
 def _noop(i):
@@ -62,16 +65,17 @@ def columns():
 
 @pytest.fixture(scope="module")
 def store(executor, columns):
-    st = ShardedDataStore(n_shards=N_SHARDS, executor=executor)
+    st = TieredDataStore(n_shards=N_SHARDS, policy=UNSEALED,
+                         executor=executor)
     st.ingest_packets(columns)
     return st
 
 
 def test_perf_parallel_ingest(benchmark, executor, columns):
     def ingest():
-        st = ShardedDataStore(n_shards=N_SHARDS,
-                              metadata_extractor=MetadataExtractor(),
-                              executor=executor)
+        st = TieredDataStore(n_shards=N_SHARDS, policy=UNSEALED,
+                             metadata_extractor=MetadataExtractor(),
+                             executor=executor)
         return st.ingest_packets(columns)
 
     count = benchmark(ingest)

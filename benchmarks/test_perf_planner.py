@@ -11,7 +11,7 @@ pair, and the 3x gate catches either side regressing.
 
 import pytest
 
-from repro.datastore import DataStore, Query, within
+from repro.datastore import Query, TieredDataStore, TierPolicy, within
 from repro.netsim.packets import PacketRecord
 
 N_PACKETS = 120_000
@@ -34,24 +34,23 @@ def _packets():
     ) for i in range(N_PACKETS)]
 
 
-def _build_store(with_stats: bool) -> DataStore:
-    store = DataStore(segment_capacity=SEGMENT_CAPACITY)
+def _build_store(with_stats: bool) -> TieredDataStore:
+    store = TieredDataStore(
+        policy=TierPolicy(memtable_records=SEGMENT_CAPACITY))
     store.ingest_packets(_packets())
-    for segment in store.segments("packets"):
-        if not segment.sealed:
-            segment.seal()
+    store.seal_hot()
     if with_stats:
         store.build_stats()
     return store
 
 
 @pytest.fixture(scope="module")
-def planned_store() -> DataStore:
+def planned_store() -> TieredDataStore:
     return _build_store(with_stats=True)
 
 
 @pytest.fixture(scope="module")
-def unplanned_store() -> DataStore:
+def unplanned_store() -> TieredDataStore:
     return _build_store(with_stats=False)
 
 

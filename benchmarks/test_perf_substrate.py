@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.capture.metadata import MetadataExtractor
-from repro.datastore import DataStore, Query
+from repro.datastore import Query, TieredDataStore, TierPolicy
 from repro.deploy.compiler import FeatureQuantizer, compile_tree
 from repro.deploy.sketches import CountMinSketch
 from repro.learning.features import SourceWindowFeaturizer
@@ -29,11 +29,17 @@ def _packets(n, payload=b"\x16\x03\x03\x01www.example.edu"):
     ) for i in range(n)]
 
 
+#: one memtable holds the whole input, as the unsealed segment these
+#: timings were first recorded on did
+UNSEALED = TierPolicy(memtable_records=50_000)
+
+
 def test_perf_store_ingest_with_metadata(benchmark):
     packets = _packets(5000)
 
     def ingest():
-        store = DataStore(metadata_extractor=MetadataExtractor())
+        store = TieredDataStore(metadata_extractor=MetadataExtractor(),
+                                policy=UNSEALED)
         store.ingest_packets(packets)
         return store
 
@@ -42,7 +48,7 @@ def test_perf_store_ingest_with_metadata(benchmark):
 
 
 def test_perf_indexed_time_query(benchmark):
-    store = DataStore()
+    store = TieredDataStore(policy=UNSEALED)
     store.ingest_packets(_packets(20_000))
     query = Query(collection="packets", time_range=(5.0, 6.0),
                   where={"dst_ip": "10.0.0.1"})
@@ -76,7 +82,8 @@ def test_perf_countmin_add_batch(benchmark):
 
 
 def test_perf_featurize(benchmark):
-    store = DataStore(metadata_extractor=MetadataExtractor())
+    store = TieredDataStore(metadata_extractor=MetadataExtractor(),
+                            policy=UNSEALED)
     store.ingest_packets(_packets(20_000))
     featurizer = SourceWindowFeaturizer()
 

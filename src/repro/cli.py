@@ -464,15 +464,11 @@ def _reopen_tiered(spill: str):
     a single-store run leaves ``registry.json`` at the root.  Either
     way reopening verifies every cold segment's checksums.
     """
-    from repro.datastore.tiers import TieredDataStore, \
-        TieredShardedDataStore
+    from repro.datastore.tiers import TieredDataStore
 
     root = Path(spill)
-    shard_dirs = sorted(root.glob("shard-*"))
-    if shard_dirs:
-        return TieredShardedDataStore(n_shards=len(shard_dirs),
-                                      spill_dir=root)
-    return TieredDataStore(spill_dir=root)
+    return TieredDataStore(spill_dir=root,
+                           n_shards=len(list(root.glob("shard-*"))) or 1)
 
 
 def _emit_tier_summary(summary: dict, as_json: bool,
@@ -658,7 +654,7 @@ def cmd_ingest(args) -> int:
         campus_profile=args.profile, seed=args.seed, privacy_level=level,
         store_shards=args.shards, streaming=True,
         streaming_queue_records=args.queue,
-        streaming_memtable_records=args.memtable,
+        segment_capacity=args.memtable,
         streaming_spill_dir=args.spill))
     try:
         scenario = _scenario_from_args(args)

@@ -25,13 +25,15 @@ class PlatformConfig:
     window_s:
         Feature/sensing window used by featurizer and switch alike.
     segment_capacity:
-        Data-store segment size (records).
+        Data-store seal size (records): the tier policy's
+        ``memtable_records``, for packet memtables and flow and log
+        segments alike.
     enable_sensors:
         Attach server-log / firewall / config sensors.
     store_shards:
-        Data-store shard count; >1 builds a
-        :class:`~repro.datastore.store.ShardedDataStore` partitioned by
-        time window x flow hash.
+        Data-store shard count; >1 partitions the
+        :class:`~repro.datastore.tiers.TieredDataStore`'s packets by
+        time window x flow hash, one tier ladder per shard.
     workers:
         Worker processes for the parallel substrate; 0 = serial
         everywhere (the default, and the automatic fallback wherever
@@ -42,18 +44,15 @@ class PlatformConfig:
         default: the disabled path constructs nothing and instrumented
         code pays one ``is not None`` check.
     streaming:
-        Put the packet collection on the tier ladder: capture batches
-        flow through a bounded :class:`~repro.datastore.tiers.
-        IngestQueue` into a :class:`~repro.datastore.tiers.
-        TieredDataStore` (hot memtable → sealed warm runs → cold
-        mmap segments), with queue-full refusals charged back into the
-        capture engine's loss accounting instead of vanishing.
+        Stream capture into the store: batches flow through a bounded
+        :class:`~repro.datastore.tiers.IngestQueue`, with queue-full
+        refusals charged back into the capture engine's loss
+        accounting instead of vanishing, and the compactor runs after
+        each collection (merging warm runs and, with a spill
+        directory, spilling them to cold mmap segments).
     streaming_queue_records:
         Ingest-queue capacity in records; a batch that would push the
         queue past this is refused whole (backpressure, accounted).
-    streaming_memtable_records:
-        Hot-tier memtable size; a full memtable seals into a sorted
-        warm run.
     streaming_spill_dir:
         Directory for the cold tier's mmap segments and the crash-safe
         ``registry.json``; ``None`` keeps every tier in memory.
@@ -80,5 +79,4 @@ class PlatformConfig:
     start_time: float = 8 * 3600.0
     streaming: bool = False
     streaming_queue_records: int = 65_536
-    streaming_memtable_records: int = 8_192
     streaming_spill_dir: Optional[str] = None

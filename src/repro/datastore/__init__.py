@@ -5,9 +5,11 @@ mining, and visualizing network data, a university network's data
 store ... becomes the single source of all campus network-related
 data."  This subpackage implements that platform:
 
-* :mod:`repro.datastore.store` — the :class:`DataStore` itself:
-  append-only segmented collections for packets, flow records, and
-  sensor logs.
+* :mod:`repro.datastore.tiers` — the :class:`TieredDataStore` itself:
+  flow and log segments plus a packet tier ladder per shard (hot
+  memtable → warm sealed segments → compressed cold mmap), streaming
+  ingestion, and the background compactor.
+* :mod:`repro.datastore.ingest` — the record-shaped ingest edge.
 * :mod:`repro.datastore.segments` — sealed segments with local indexes.
 * :mod:`repro.datastore.index` — time, hash, and inverted tag indexes.
 * :mod:`repro.datastore.query` — the query engine (index-accelerated
@@ -20,12 +22,9 @@ data."  This subpackage implements that platform:
 * :mod:`repro.datastore.linking` — cross-source record linking
   (packets <-> flows <-> logs), the "linked and indexed" property.
 * :mod:`repro.datastore.retention` — retention policy enforcement.
-* :mod:`repro.datastore.tiers` — streaming ingestion, tiered storage
-  (hot memtable → warm sealed segments → compressed cold mmap), and
-  the background compactor.
 """
 
-from repro.datastore.store import DataStore, StoredRecord
+from repro.datastore.segments import StoredRecord
 from repro.datastore.query import Query, Aggregation
 from repro.datastore.planner import AggregateAnswer, ErrorBudget, \
     QueryPlan, within
@@ -35,13 +34,12 @@ from repro.datastore.retention import RetentionPolicy, RetentionReport
 from repro.datastore.persistence import export_store, import_store, \
     PersistenceError
 from repro.datastore.tiers import ColdSegment, Compactor, IngestQueue, \
-    StreamingIngestor, TieredDataStore, TieredShardedDataStore, TierPolicy
+    StreamingIngestor, TieredDataStore, TierPolicy
 
 __all__ = [
     "export_store",
     "import_store",
     "PersistenceError",
-    "DataStore",
     "StoredRecord",
     "Query",
     "Aggregation",
@@ -57,7 +55,6 @@ __all__ = [
     "RetentionReport",
     "TierPolicy",
     "TieredDataStore",
-    "TieredShardedDataStore",
     "ColdSegment",
     "Compactor",
     "IngestQueue",

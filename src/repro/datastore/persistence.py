@@ -24,7 +24,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from repro.capture.pcapng import read_packets, write_packets
 from repro.capture.sensors import LogRecord
 from repro.chaos.faults import FaultKind, TornWriteError
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore
+
+if TYPE_CHECKING:
+    from repro.datastore.tiers import TieredDataStore
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -71,7 +73,7 @@ def _chaos_tear(path: Path, fault_injector) -> None:
         raise TornWriteError(f"injected crash while writing {path.name}")
 
 
-def _write_store_files(store: DataStore, directory: Path,
+def _write_store_files(store: "TieredDataStore", directory: Path,
                        fault_injector) -> Dict[str, str]:
     """Write every data file into ``directory``; return checksums."""
     packets = store.query(Query(collection="packets", order_by_time=True))
@@ -117,7 +119,7 @@ def _swap_into_place(tmp: Path, directory: Path) -> None:
         os.replace(str(tmp), str(directory))
 
 
-def export_store(store: DataStore, directory: Union[str, Path],
+def export_store(store: "TieredDataStore", directory: Union[str, Path],
                  fault_injector=None) -> Path:
     """Write the whole store to ``directory`` (created if needed).
 
@@ -138,7 +140,7 @@ def export_store(store: DataStore, directory: Union[str, Path],
             "format_version": FORMAT_VERSION,
             "counts": {name: store.count(name)
                        for name in ("packets", "flows", "logs")},
-            "segment_capacity": store.segment_capacity,
+            "segment_capacity": store.policy.memtable_records,
             "checksums": checksums,
         }
         (tmp / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
@@ -163,7 +165,7 @@ def _verify_checksums(directory: Path, manifest: Dict) -> None:
 
 
 def import_store(directory: Union[str, Path],
-                 metadata_extractor=None) -> DataStore:
+                 metadata_extractor=None) -> "TieredDataStore":
     """Rebuild a store exported by :func:`export_store`.
 
     Tags are restored from the export (the extractor, if given, is only
@@ -181,9 +183,11 @@ def import_store(directory: Union[str, Path],
         )
     _verify_checksums(directory, manifest)
 
-    store = DataStore(
+    from repro.datastore.tiers import TieredDataStore, TierPolicy
+    store = TieredDataStore(
         metadata_extractor=metadata_extractor,
-        segment_capacity=manifest.get("segment_capacity", 50_000),
+        policy=TierPolicy(memtable_records=manifest.get(
+            "segment_capacity", 50_000)),
     )
 
     packets = read_packets(directory / "packets.rpcp")
@@ -197,6 +201,8 @@ def import_store(directory: Union[str, Path],
     store.ingest_packets(packets, tags=[row.get("tags", {})
                                         for row in meta_rows] or None)
     if meta_rows:
+        # Sealed segments are (time, rid)-sorted; the export is written
+        # in time order, so segment positions are still row order here.
         position = 0
         for segment in store.segments("packets"):
             n = len(segment)
@@ -235,7 +241,7 @@ def import_store(directory: Union[str, Path],
     return store
 
 
-def _restore_labels(store: DataStore, collection: str,
+def _restore_labels(store: "TieredDataStore", collection: str,
                     labels: List[Optional[str]]) -> None:
     position = 0
     for segment in store.segments(collection):

@@ -1,7 +1,7 @@
 """Cost-based query planning over a shared QueryPlan IR.
 
-Every executor — linear-equivalent serial, vectorized, sharded, and
-the approximate sketch path — now consumes one plan shape instead of
+Every executor — the exact scan (serial or process-parallel) and the
+approximate sketch path — consumes one plan shape instead of
 re-deriving control flow per query.  A plan is a small tree of logical
 ops:
 
@@ -19,16 +19,15 @@ ops:
 * **SketchAnswer** — a COUNT / DISTINCT / heavy-hitter aggregate
   short-circuited to the stats sketches, behind an
   :class:`ErrorBudget` with exact fallback.
-* **Merge** — the cross-segment combine: the serial time-sort, or the
-  sharded ``(time, rid)`` merge.
+* **Merge** — the cross-segment combine: the deterministic
+  ``(time, rid)`` merge.
 
 The cost model runs entirely on the per-segment
-:class:`~repro.datastore.stats.SegmentStats` blocks (built at seal
-time when the store opts in, or explicitly via
-``store.build_stats()``); a segment without fresh stats plans exactly
-like the pre-planner executor — predicates in declaration order, no
-gather, no stats pruning — so planning degrades to the old behaviour,
-never below it.
+:class:`~repro.datastore.stats.SegmentStats` blocks (built via
+``store.build_stats()``, kept through compaction and spills); a
+segment without fresh stats plans exactly like the pre-planner
+executor — predicates in declaration order, no gather, no stats
+pruning — so planning degrades to the old behaviour, never below it.
 
 Exact-mode planned execution is **bit-identical** to the linear
 reference executor (``tests/datastore/reference.py``): predicate
@@ -47,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.datastore import schema as schemas
 from repro.datastore.query import (
     _RID_KEY,
-    _TIME_KEY,
     _TIME_RID_KEY,
     Query,
     _columnar_scan,
@@ -321,11 +319,9 @@ def _shard_allowed_ids(store, query: Query) -> Optional[set]:
     recompute each window's shard — every matching packet must have
     routed to one of those shards at ingest.
     """
-    router = getattr(store, "router", None)
-    shards = getattr(store, "shards", None)
-    if router is None or shards is None or query.collection != "packets":
-        return None
-    if getattr(router, "n_shards", 1) <= 1 or query.time_range is None:
+    router = store.router
+    if query.collection != "packets" or router.n_shards <= 1 \
+            or query.time_range is None:
         return None
     where = query.where
     if not all(f in where for f in ("src_ip", "dst_ip", "src_port",
@@ -349,7 +345,7 @@ def _shard_allowed_ids(store, query: Query) -> Optional[set]:
         return None
     allowed: set = set()
     for shard_id in candidates:
-        for segment in shards[shard_id]._segments["packets"]:
+        for segment in store.shards[shard_id].segments:
             allowed.add(id(segment))
     return allowed
 
@@ -379,47 +375,14 @@ def plan_query(store, query: Query) -> QueryPlan:
 
 
 def _scan_planned(sp: SegmentPlan, query: Query):
-    """(pairs, came-out-ordered, columnar) for one planned segment."""
+    """(time, stored) pairs of one planned segment's matches, plus
+    whether its column block served the scan."""
     segment = sp.segment
     cols = segment.columns()
-    if cols is not None:
-        pairs = _columnar_scan(segment, cols, query,
-                               where_items=sp.where_items,
-                               gather=sp.gather)
-        return pairs, query.order_by_time, True
-    pairs, ordered = _record_scan(segment, query)
-    return pairs, ordered, False
-
-
-def _scan_contributing(contributing: List[SegmentPlan], query: Query):
-    runs = []
-    columnar = True
-    for sp in contributing:
-        scanned = _scan_planned(sp, query)
-        columnar = columnar and scanned[2]
-        sp.actual_rows = len(scanned[0])
-        if scanned[0]:
-            runs.append(scanned)
-    return runs, columnar
-
-
-def _merge_runs(runs, query: Query) -> List:
-    if not runs:
-        return []
-    if len(runs) == 1:
-        # Single contributing segment: skip the global re-sort when its
-        # scan already came out time-ordered.
-        results = runs[0][0]
-        if query.order_by_time and not runs[0][1]:
-            results.sort(key=_TIME_KEY)
-    else:
-        results = [pair for pairs, _, _ in runs for pair in pairs]
-        if query.order_by_time:
-            results.sort(key=_TIME_KEY)
-    records = [stored for _, stored in results]
-    if query.limit is not None:
-        records = records[: query.limit]
-    return records
+    if cols is None:
+        return _record_scan(segment, query), False
+    return _columnar_scan(segment, cols, query, where_items=sp.where_items,
+                          gather=sp.gather), True
 
 
 def _observe_plan(obs, plan: QueryPlan) -> None:
@@ -436,28 +399,6 @@ def _observe_plan(obs, plan: QueryPlan) -> None:
         int(round(plan.root.estimated_rows or 0.0)))
     metrics.counter("repro_query_plan_rows_total", kind="actual").inc(
         plan.root.actual_rows or 0)
-
-
-def execute_plan(store, plan: QueryPlan, obs=None) -> List:
-    """Serial planned execution; bit-identical to the linear oracle."""
-    query = plan.query
-    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
-    if obs is None:
-        runs, _ = _scan_contributing(contributing, query)
-        records = _merge_runs(runs, query)
-        plan.root.actual_rows = len(records)
-        return records
-    started = obs.clock.now()
-    with obs.span("query.plan.scan", collection=query.collection,
-                  segments=len(contributing)) as span:
-        runs, columnar = _scan_contributing(contributing, query)
-        span.set(runs=len(runs))
-    with obs.span("query.plan.merge", runs=len(runs)):
-        records = _merge_runs(runs, query)
-    plan.root.actual_rows = len(records)
-    _observe_plan(obs, plan)
-    _observe_query(obs, started, len(records), columnar)
-    return records
 
 
 def _parallel_plan_triples(contributing: List[SegmentPlan], query: Query,
@@ -483,38 +424,61 @@ def _parallel_plan_triples(contributing: List[SegmentPlan], query: Query,
     return triples
 
 
-def execute_plan_sharded(store, plan: QueryPlan, executor=None,
-                         obs=None) -> List:
-    """Planned execution with the deterministic ``(time, rid)`` merge.
-
-    Scans each contributing segment (in worker processes when an
-    eligible ``executor`` is supplied) and reconstructs global batch
-    input order — bit-identical to :func:`execute_plan` on a serial
-    store fed the same batches.
-    """
-    query = plan.query
-    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
-    if obs is not None:
-        started = obs.clock.now()
-    columnar = True
-    triples = None
+def _scan_triples(contributing: List[SegmentPlan], query: Query,
+                  executor) -> Tuple[List, bool]:
+    """``(time, rid, stored)`` of every match in the contributing
+    segments, plus whether every scan ran vectorized."""
     if executor is not None and executor.parallel:
         triples = _parallel_plan_triples(contributing, query, executor)
-    if triples is None:
-        triples = []
-        for sp in contributing:
-            pairs, _, seg_columnar = _scan_planned(sp, query)
-            columnar = columnar and seg_columnar
-            sp.actual_rows = len(pairs)
-            triples.extend((t, stored.rid, stored) for t, stored in pairs)
+        if triples is not None:
+            return triples, True
+    triples = []
+    columnar = True
+    for sp in contributing:
+        pairs, seg_columnar = _scan_planned(sp, query)
+        columnar = columnar and seg_columnar
+        sp.actual_rows = len(pairs)
+        triples.extend((t, stored.rid, stored) for t, stored in pairs)
+    return triples, columnar
+
+
+def _merge_triples(triples: List, query: Query) -> List:
     triples.sort(key=_TIME_RID_KEY if query.order_by_time else _RID_KEY)
     records = [stored for _, _, stored in triples]
     if query.limit is not None:
         records = records[: query.limit]
+    return records
+
+
+def execute_plan_sharded(store, plan: QueryPlan, executor=None,
+                         obs=None) -> List:
+    """Planned execution with the deterministic ``(time, rid)`` merge:
+    the one exact executor every store query goes through.
+
+    Scans each contributing segment (in worker processes when an
+    eligible ``executor`` is supplied) and merges on ``(time, rid)`` —
+    or bare ``rid`` for unordered queries.  Rids are assigned in global
+    ingest order, so whatever the sealing, compaction or shard layout,
+    the answer is the linear reference's over the same batches held
+    unsealed in input order (``tests/datastore/reference.py``).
+    """
+    query = plan.query
+    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
+    if obs is None:
+        triples, _ = _scan_triples(contributing, query, executor)
+        records = _merge_triples(triples, query)
+        plan.root.actual_rows = len(records)
+        return records
+    started = obs.clock.now()
+    with obs.span("query.plan.scan", collection=query.collection,
+                  segments=len(contributing)) as span:
+        triples, columnar = _scan_triples(contributing, query, executor)
+        span.set(rows=len(triples))
+    with obs.span("query.plan.merge", rows=len(triples)):
+        records = _merge_triples(triples, query)
     plan.root.actual_rows = len(records)
-    if obs is not None:
-        _observe_plan(obs, plan)
-        _observe_query(obs, started, len(records), columnar)
+    _observe_plan(obs, plan)
+    _observe_query(obs, started, len(records), columnar)
     return records
 
 
@@ -554,7 +518,7 @@ def _aggregate_segment(sp: SegmentPlan, query: Query,
                                        where_items=sp.where_items,
                                        gather=sp.gather)
     if positions is None:
-        pairs, _, columnar = _scan_planned(sp, query)
+        pairs, columnar = _scan_planned(sp, query)
         sp.actual_rows = len(pairs)
         if fld is not None:
             _tally_records(tallies, (stored for _, stored in pairs),
@@ -576,12 +540,12 @@ def _exact_aggregate(store, plan: QueryPlan, query: Query, obs=None,
                      fld: Optional[str] = None) -> Tuple[int, Dict]:
     """(matching rows, ``{key: count}`` of ``fld`` — empty without
     one) for an exact aggregate, filling the plan's actual rows and the
-    obs counters exactly as :func:`execute_plan` does."""
+    obs counters exactly as :func:`execute_plan_sharded` does."""
     tallies: Dict = {}
     if fld is not None and query.limit is not None:
-        # The limit keeps the first rows in (time, rid) order — on a
-        # sharded store too, whose segment order is shard-major — so
-        # take the rows through the deterministic merge.
+        # The limit keeps the first rows in (time, rid) order, which
+        # segment order (shard-major, sorted and unsorted segments
+        # mixed) does not give, so take the rows through the merge.
         records = execute_plan_sharded(store, plan, obs=obs)
         _tally_records(tallies, records,
                        schemas.SCHEMAS[query.collection].field_of, fld)

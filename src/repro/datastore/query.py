@@ -236,30 +236,17 @@ def columnar_positions(cols, time_range, where, where_items=None,
     return None if residual else positions
 
 
-def _record_scan(segment,
-                 query: Query) -> Tuple[List[Tuple[float, object]], bool]:
-    """Index-accelerated record path for one segment.
-
-    Returns the (time, stored) pairs plus whether they came out already
-    time-ordered (lets the caller skip the final re-sort).
-    """
+def _record_scan(segment, query: Query) -> List[Tuple[float, object]]:
+    """Index-accelerated record path for one segment: the (time,
+    stored) pairs of its matches, in position order."""
     candidates = _candidate_positions(segment, query)
     if candidates is None:
         rows = segment.records
     else:
         rows = segment.stored_at(sorted(set(candidates)))
     time_of = segment.schema.time_of
-    pairs: List[Tuple[float, object]] = []
-    ordered = True
-    previous: Optional[float] = None
-    for stored in rows:
-        if _matches(stored, segment, query):
-            t = time_of(stored.record)
-            if previous is not None and t < previous:
-                ordered = False
-            previous = t
-            pairs.append((t, stored))
-    return pairs, ordered
+    return [(time_of(stored.record), stored) for stored in rows
+            if _matches(stored, segment, query)]
 
 
 def _observe_query(obs, started: float, rows: int, columnar: bool) -> None:
@@ -270,41 +257,8 @@ def _observe_query(obs, started: float, rows: int, columnar: bool) -> None:
     obs.metrics.counter("repro_store_query_rows_total", path=path).inc(rows)
 
 
-def execute_query(store, query: Query, obs=None) -> List:
-    """Run ``query`` against ``store`` (accelerated, time-ordered).
-
-    Plans first — stats pruning, selectivity-ordered predicates,
-    gather decisions — then executes the plan; see
-    :mod:`repro.datastore.planner`.  A store without stats plans into
-    exactly the pre-planner scan, so this stays bit-identical to the
-    linear reference executor either way.
-    """
-    from repro.datastore.planner import execute_plan, plan_query
-    return execute_plan(store, plan_query(store, query), obs=obs)
-
-
 _RID_KEY = itemgetter(1)
 _TIME_RID_KEY = itemgetter(0, 1)
-
-
-def execute_query_sharded(store, query: Query, executor=None,
-                          obs=None) -> List:
-    """Run ``query`` across every shard with a deterministic merge.
-
-    Scans each contributing segment (in worker processes when an
-    eligible ``executor`` is supplied), then merges on ``(time, rid)``
-    — or bare ``rid`` for unordered queries.  Because a sharded store
-    assigns rids in batch input order, this reconstructs exactly the
-    order an unsharded store would return: the results are bit-identical
-    to :func:`execute_query` on a serial store fed the same batches.
-
-    Planning happens first (see :mod:`repro.datastore.planner`): on a
-    sharded store, a fully keyed flow query prunes whole shards before
-    the scatter using the router's exact window enumeration.
-    """
-    from repro.datastore.planner import execute_plan_sharded, plan_query
-    return execute_plan_sharded(store, plan_query(store, query),
-                                executor=executor, obs=obs)
 
 
 _REDUCERS = {
@@ -325,8 +279,6 @@ def execute_aggregate(store, query: Query, aggregation: Aggregation) -> Dict:
         )
     groups: Dict[object, List[float]] = {}
     value_fn = aggregation.value_fn or (lambda stored: 1.0)
-    # store.query (not execute_query directly): a sharded store routes
-    # through its deterministic cross-shard merge.
     for stored in store.query(query):
         key = aggregation.key_fn(stored)
         groups.setdefault(key, []).append(value_fn(stored))

@@ -136,9 +136,8 @@ class SegmentBase:
 
     def build_stats(self):
         """Build (or rebuild) the planner's per-column stats block:
-        at seal when the store opted in (``stats_on_seal``), from
-        :meth:`DataStore.build_stats`, or for anyone who wants
-        cost-based planning over this segment."""
+        from :meth:`TieredDataStore.build_stats`, at spill, or for
+        anyone who wants cost-based planning over this segment."""
         from repro.datastore.stats import SegmentStats
 
         self._stats = SegmentStats.build(self)
@@ -170,7 +169,8 @@ class PacketSegment(SegmentBase):
     ``segment_id``), plus the annotation columns featurize and spill
     read without building rows: ``rids``, :meth:`tag_column` and
     :meth:`label_column`.  Appends queue as parts and are concatenated
-    on the first read after them.
+    on the first read after them.  A packet segment seals only through
+    :meth:`merged`, so every sealed one is ``(time, rid)``-sorted.
     """
 
     def __init__(self, schema: CollectionSchema, segment_id: int,
@@ -275,12 +275,6 @@ class PacketSegment(SegmentBase):
             self._memo.extend([None] * fresh)
             self._built = np.concatenate(
                 [self._built, np.zeros(fresh, dtype=bool)])
-
-    def seal(self, build_stats: bool = False) -> None:
-        self._consolidate()
-        self.sealed = True
-        if build_stats:
-            self.build_stats()
 
     @classmethod
     def merged(cls, inputs: List["PacketSegment"],
@@ -465,11 +459,9 @@ class Segment(SegmentBase):
             positions = positions.tolist()
         return list(map(self.records.__getitem__, positions))
 
-    def seal(self, build_stats: bool = False) -> None:
+    def seal(self) -> None:
         self.sealed = True
         self.time_index.seal()
-        if build_stats:
-            self.build_stats()
 
     def columns(self) -> None:
         """No column block: flows and logs take the record path."""

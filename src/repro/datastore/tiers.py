@@ -1,13 +1,14 @@
-"""Tiered storage: hot memtable → warm sealed segments → cold mmap files.
+"""The campus data store: one class, a tier ladder per shard.
 
-The paper's platform promises *continuous* campus-scale capture, which
-batch ``ingest_packets`` alone cannot honor: a store that only grows
-in RAM neither absorbs sustained pressure nor outlives the process.
-This module adds an LSM-flavored tier ladder behind the existing
-planner/executors:
+§5: "Comprising a single platform for collecting, storing, indexing,
+mining, and visualizing network data, a university network's data
+store ... becomes the single source of all campus network-related
+data."  :class:`TieredDataStore` is that platform.  Flows and logs are
+low-volume record segments; packets, the platform's volume, live on an
+LSM-flavored tier ladder:
 
 * **hot** — one unsealed :class:`~repro.datastore.segments.PacketSegment`
-  (the memtable) per store; an append queues a column slice, nothing
+  (the memtable) per shard; an append queues a column slice, nothing
   else.
 * **warm** — sealed, ``(time, rid)``-sorted in-memory column segments
   with (optionally) planner stats.
@@ -15,16 +16,25 @@ planner/executors:
   ``numpy`` memory maps, so a store bigger than RAM stays queryable
   without faulting whole segments in.
 
+Configuration composes instead of subclassing:
+
+* ``spill_dir=None`` with nobody stepping the compactor is the flat,
+  in-memory store: sealed warm segments simply accumulate;
+* a ``spill_dir`` adds the cold tier, and a store built on an existing
+  one resumes from its registry;
+* ``n_shards > 1`` routes every packet through a time-window x
+  flow-hash :class:`~repro.parallel.sharding.ShardRouter` to one of N
+  ladders, each with its own memtable, compaction debt and
+  ``shard-<i>`` spill directory.
+
 All three tiers satisfy the same *SegmentSource* duck type the planner
-and executors already consume (``records``, ``stored_at()``,
-``columns()``, ``stats()``, ``min_time``/``max_time``/``overlaps``,
-``schema``, ``segment_id``), so queries treat a half-compacted store
-exactly like a quiesced one.
-Bit-identity with a flat store holds because rids are assigned in
-global ingest order and every tiered query goes through the
-deterministic ``(time, rid)`` merge
-(:func:`~repro.datastore.planner.execute_plan_sharded`), which is the
-same order a flat store's stable time-sort produces.
+and executors consume (``records``, ``stored_at()``, ``columns()``,
+``stats()``, ``min_time``/``max_time``/``overlaps``, ``schema``,
+``segment_id``), so queries treat a half-compacted store exactly like
+a quiesced one.  Rids are assigned in global ingest order and every
+query goes through the deterministic ``(time, rid)`` merge
+(:func:`~repro.datastore.planner.execute_plan_sharded`), so neither
+compaction progress nor the shard count can change an answer.
 
 Compaction is a *stepped* state machine, not a thread: callers (the
 CLI loop, tests, a platform tick) invoke :meth:`Compactor.step`, and
@@ -39,6 +49,10 @@ Backpressure: :class:`IngestQueue` bounds the capture→store path by
 record count; a refused batch is charged to the capture engine's
 :class:`~repro.capture.engine.CaptureStats` via
 ``account_backpressure`` — never silently dropped.
+
+The store is deliberately *internal-only* (§3): nothing here supports
+export; the privacy layer (:mod:`repro.privacy`) arbitrates access and
+transforms data on the way in or out.
 """
 
 from __future__ import annotations
@@ -51,21 +65,30 @@ import shutil
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, \
-    Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, \
+    Optional, Tuple, Union
 
 import numpy as np
 
+from repro.capture.flows import FlowRecord
+from repro.capture.metadata import MetadataExtractor
+from repro.capture.sensors import LogRecord
 from repro.chaos.faults import CompactorCrashError, FaultKind
+from repro.chaos.resilience import RetryPolicy, VirtualClock, retrying
 from repro.datastore import schema as schemas
+from repro.datastore.ingest import STORE_RETRY_POLICY, \
+    TransientStoreError, packet_batch
 from repro.datastore.persistence import PersistenceError, _sha256
-from repro.datastore.segments import PacketSegment, SegmentBase, \
+from repro.datastore.planner import execute_count, execute_distinct, \
+    execute_heavy_hitters, execute_plan_sharded, plan_query
+from repro.datastore.query import Aggregation, Query, execute_aggregate
+from repro.datastore.segments import PacketSegment, Segment, SegmentBase, \
     SegmentRows, StoredRecord
 from repro.datastore.stats import ColumnStats, SegmentStats, \
     merge_column_stats
-from repro.datastore.store import DataStore, ShardedDataStore
 from repro.netsim.packets import _STRING_FIELDS, NUMERIC_FIELDS, \
-    DictColumn, PacketColumns
+    DictColumn, PacketColumns, PacketRecord
+from repro.parallel.sharding import ShardRouter
 
 COLD_FORMAT_VERSION = 1
 REGISTRY_NAME = "registry.json"
@@ -86,7 +109,8 @@ def _counter_value(counter) -> int:
 class TierPolicy:
     """Knobs for the tier ladder.
 
-    ``memtable_records`` bounds the hot tier (the seal size);
+    ``memtable_records`` bounds the hot tier (the seal size of every
+    segment, flows and logs included);
     ``seal_age_s`` additionally seals a non-full memtable once it has
     been open that long on the store's clock.  ``warm_fanin`` warm
     segments merge into one; more than ``warm_max_segments`` warm
@@ -649,14 +673,14 @@ class StreamingIngestor:
     the compactor until debt-free.
     """
 
-    def __init__(self, store, engine=None, queue: Optional[IngestQueue]
-                 = None, queue_records: int = 65_536, obs=None):
+    def __init__(self, store: "TieredDataStore", engine=None,
+                 queue: Optional[IngestQueue] = None,
+                 queue_records: int = 65_536, obs=None):
         self.store = store
         self.engine = engine
         self.queue = queue if queue is not None else IngestQueue(
-            queue_records,
-            fault_injector=getattr(store, "fault_injector", None),
-            obs=obs if obs is not None else getattr(store, "obs", None))
+            queue_records, fault_injector=store.fault_injector,
+            obs=obs if obs is not None else store.obs)
         self.ingested_records = 0
         if engine is not None:
             engine.subscribe(self)
@@ -678,11 +702,10 @@ class StreamingIngestor:
 
     def drain(self, compact: bool = True) -> int:
         moved = self.pump()
-        compactor = getattr(self.store, "compactor", None)
-        if compact and compactor is not None:
+        if compact:
             # run() is bounded per call; a long day can owe more than
             # one round's worth, and drain promises debt-free.
-            while compactor.run():
+            while self.store.compactor.run():
                 pass
         return moved
 
@@ -694,8 +717,9 @@ class Compactor:
     """Stepped background compaction for one :class:`TieredDataStore`.
 
     Threadless and deterministic: :meth:`debt` lists the ops the
-    policy currently owes, :meth:`step` executes exactly one, and the
-    segment list only changes *between* steps — which is what lets the
+    policy currently owes, shard by shard, :meth:`step` executes the
+    most urgent op of the first shard that owes one, and a segment
+    list only changes *between* steps — which is what lets the
     equivalence suite interleave queries with a live compaction and
     still demand bit-identical answers.
     """
@@ -711,41 +735,52 @@ class Compactor:
             raise CompactorCrashError(
                 f"injected compactor crash at {step}")
 
-    def debt(self) -> List[Tuple[str, List]]:
-        """Owed ops, most urgent first: merge warm runs, spill the
-        oldest warm segment past the cap, merge small cold segments."""
-        store = self.store
-        policy = store.policy
-        _, warm, cold = store.tier_segments()
+    def _owed(self, shard: "_Shard") -> List[Tuple[str, List]]:
+        """One shard's owed ops, most urgent first: merge warm runs,
+        spill the oldest warm segment past the cap, merge small cold
+        segments."""
+        policy = self.store.policy
+        _, warm, cold = shard.tiers()
         ops: List[Tuple[str, List]] = []
         if len(warm) >= policy.warm_fanin:
             ops.append(("warm-merge", warm[:policy.warm_fanin]))
-        if store.spill_dir is not None \
+        if shard.spill_dir is not None \
                 and len(warm) > policy.warm_max_segments:
             ops.append(("spill", [warm[0]]))
-        if store.spill_dir is not None and len(cold) >= policy.cold_fanin:
+        if shard.spill_dir is not None and len(cold) >= policy.cold_fanin:
             ops.append(("cold-merge", cold[:policy.cold_fanin]))
         return ops
 
+    def debt(self) -> List[Tuple[str, List]]:
+        """Every shard's owed ops, shard by shard."""
+        return [op for shard in self.store.shards
+                for op in self._owed(shard)]
+
     def step(self) -> Optional[str]:
         """Execute the most urgent owed op; None when debt-free."""
-        ops = self.debt()
-        if not ops:
+        for shard in self.store.shards:
+            ops = self._owed(shard)
+            if ops:
+                break
+        else:
             return None
         kind, inputs = ops[0]
         obs = self.store.obs
         if obs is None:
-            self._dispatch(kind, inputs)
+            self._dispatch(kind, shard, inputs)
         else:
             with obs.span("store.tiers.compact", op=kind,
                           inputs=len(inputs)):
-                self._dispatch(kind, inputs)
+                self._dispatch(kind, shard, inputs)
         self.completed[kind] = self.completed.get(kind, 0) + 1
         self.store._update_tier_gauges()
         return kind
 
-    def run(self, max_steps: int = 64) -> List[str]:
-        """Step until debt-free (or ``max_steps``); returns op kinds."""
+    def run(self, max_steps: Optional[int] = None) -> List[str]:
+        """Step until debt-free or ``max_steps`` (default 64 per shard);
+        returns op kinds."""
+        if max_steps is None:
+            max_steps = 64 * len(self.store.shards)
         done: List[str] = []
         while len(done) < max_steps:
             kind = self.step()
@@ -754,44 +789,42 @@ class Compactor:
             done.append(kind)
         return done
 
-    def _dispatch(self, kind: str, inputs: List) -> None:
+    def _dispatch(self, kind: str, shard: "_Shard", inputs: List) -> None:
         if kind == "warm-merge":
-            self._warm_merge(inputs)
+            self._warm_merge(shard, inputs)
         elif kind == "spill":
-            self._spill(inputs[0])
+            self._spill(shard, inputs[0])
         else:
-            self._cold_merge(inputs)
+            self._cold_merge(shard, inputs)
 
-    def _splice(self, inputs: List, replacement) -> None:
+    @staticmethod
+    def _splice(shard: "_Shard", inputs: List, replacement) -> None:
         """Replace ``inputs`` with ``replacement`` at the first input's
         position — one assignment, so queries between steps never see
         a half-applied compaction."""
-        segments = self.store._segments["packets"]
         drop = {id(segment) for segment in inputs[1:]}
         first = inputs[0]
-        segments[:] = [
+        shard.segments[:] = [
             replacement if segment is first else segment
-            for segment in segments if id(segment) not in drop
+            for segment in shard.segments if id(segment) not in drop
         ]
 
     # -- ops ----------------------------------------------------------------
 
-    def _warm_merge(self, inputs: List[PacketSegment]) -> None:
+    def _warm_merge(self, shard: "_Shard",
+                    inputs: List[PacketSegment]) -> None:
         """Merge small warm runs into one sorted warm segment (RAM
         only — crash-safe because nothing is published until the final
         list splice)."""
         self._chaos_step("warm-merge:plan")
-        store = self.store
-        merged = PacketSegment.merged(inputs, next(store._segment_ids))
+        merged = PacketSegment.merged(inputs, next(self.store._segment_ids))
         stats = _merged_stats(inputs)
         if stats is not None:
             merged.adopt_stats(stats)
-        elif store.stats_on_seal:
-            merged.build_stats()
         self._chaos_step("warm-merge:apply")
-        self._splice(inputs, merged)
+        self._splice(shard, inputs, merged)
 
-    def _spill(self, segment: PacketSegment) -> None:
+    def _spill(self, shard: "_Shard", segment: PacketSegment) -> None:
         """Age one warm segment into the cold on-disk format.
 
         Crash-atomic: data lands in a tmp dir, ``os.replace`` promotes
@@ -799,11 +832,10 @@ class Compactor:
         any step leaves the warm segment authoritative (plus debris
         the next attempt or reopen clears).
         """
-        store = self.store
         self._chaos_step("spill:plan")
         name = f"seg-{segment.segment_id:08d}"
-        target = store.spill_dir / name
-        tmp = store.spill_dir / f"{name}.tmp-{os.getpid()}"
+        target = shard.spill_dir / name
+        tmp = shard.spill_dir / f"{name}.tmp-{os.getpid()}"
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
@@ -823,12 +855,14 @@ class Compactor:
             shutil.rmtree(target)   # unregistered leftover of a past crash
         os.replace(tmp, target)
         self._chaos_step("spill:registry")
-        _, _, cold = store.tier_segments()
-        store._write_registry([c.directory.name for c in cold] + [name])
+        _, _, cold = shard.tiers()
+        self.store._write_registry(
+            shard, [c.directory.name for c in cold] + [name])
         self._chaos_step("spill:apply")
-        self._splice([segment], ColdSegment(target))
+        self._splice(shard, [segment], ColdSegment(target))
 
-    def _cold_merge(self, inputs: List[ColdSegment]) -> None:
+    def _cold_merge(self, shard: "_Shard",
+                    inputs: List[ColdSegment]) -> None:
         """Merge small cold segments into one larger one.
 
         Same commit protocol as :meth:`_spill`; the registry rewrite
@@ -837,12 +871,11 @@ class Compactor:
         are deleted only after the in-memory splice; stragglers are
         orphans the next reopen clears.
         """
-        store = self.store
         self._chaos_step("cold-merge:plan")
-        segment_id = next(store._segment_ids)
+        segment_id = next(self.store._segment_ids)
         name = f"seg-{segment_id:08d}"
-        target = store.spill_dir / name
-        tmp = store.spill_dir / f"{name}.tmp-{os.getpid()}"
+        target = shard.spill_dir / name
+        tmp = shard.spill_dir / f"{name}.tmp-{os.getpid()}"
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
@@ -863,64 +896,500 @@ class Compactor:
         os.replace(tmp, target)
         self._chaos_step("cold-merge:registry")
         merged_ids = {id(segment) for segment in inputs}
-        _, _, cold = store.tier_segments()
+        _, _, cold = shard.tiers()
         dirs: List[str] = []
         for segment in cold:
             if segment is inputs[0]:
                 dirs.append(name)
             elif id(segment) not in merged_ids:
                 dirs.append(segment.directory.name)
-        store._write_registry(dirs)
+        self.store._write_registry(shard, dirs)
         self._chaos_step("cold-merge:apply")
-        self._splice(inputs, ColdSegment(target))
+        self._splice(shard, inputs, ColdSegment(target))
         self._chaos_step("cold-merge:cleanup")
         for segment in inputs:
             shutil.rmtree(segment.directory, ignore_errors=True)
 
 
-# -- the tiered store --------------------------------------------------------
+# -- the store ---------------------------------------------------------------
 
 
-class TieredDataStore(DataStore):
-    """A :class:`DataStore` whose packet collection lives on the tier
-    ladder.  Flows and logs keep the flat behaviour (low volume).
+class _Shard:
+    """One shard's packet ladder: its segments (cold, then warm, then
+    the memtable), when the memtable opened, and where it spills."""
 
-    With a ``spill_dir`` the store resumes from an existing
-    ``registry.json`` on construction: cold segments are reopened with
-    verified checksums, id counters continue past the registry's
-    watermarks, and debris from crashed compactions is cleared.
-    """
+    __slots__ = ("segments", "spill_dir", "opened_at")
 
-    def __init__(self, metadata_extractor=None,
-                 policy: Optional[TierPolicy] = None, spill_dir=None,
-                 fault_injector=None, clock=None, obs=None,
-                 stats_on_seal: bool = False):
-        self.policy = policy if policy is not None else TierPolicy()
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self._memtable_opened_at: Optional[float] = None
-        self.resume_next_ids: Optional[Tuple[int, int]] = None
-        super().__init__(metadata_extractor=metadata_extractor,
-                         segment_capacity=self.policy.memtable_records,
-                         fault_injector=fault_injector, clock=clock,
-                         obs=obs, stats_on_seal=stats_on_seal)
-        self.compactor = Compactor(self)
-        if self.spill_dir is not None:
-            self._resume_from_disk()
+    def __init__(self, spill_dir: Optional[Path]):
+        self.segments: List = []
+        self.spill_dir = spill_dir
+        self.opened_at: Optional[float] = None
 
-    # -- tiers --------------------------------------------------------------
-
-    def tier_segments(self) -> Tuple[List, List, List]:
-        """(hot, warm, cold) views of the packet segment list."""
+    def tiers(self) -> Tuple[List, List, List]:
+        """(hot, warm, cold) views of the segment list."""
         hot: List = []
         warm: List = []
         cold: List = []
-        for segment in self._segments["packets"]:
+        for segment in self.segments:
             if isinstance(segment, ColdSegment):
                 cold.append(segment)
             elif segment.sealed:
                 warm.append(segment)
             else:
                 hot.append(segment)
+        return hot, warm, cold
+
+    def memtable(self) -> Optional[PacketSegment]:
+        """The unsealed tail segment, if there is one."""
+        tail = self.segments[-1] if self.segments else None
+        if isinstance(tail, PacketSegment) and not tail.sealed:
+            return tail
+        return None
+
+
+class TieredDataStore:
+    """Single platform for collecting, storing, indexing and mining.
+
+    Parameters
+    ----------
+    metadata_extractor:
+        Attached to packet ingest; produces the tag dictionary indexed
+        by the inverted index.  Pass ``None`` to store raw packets only.
+    policy:
+        The :class:`TierPolicy`.  Its ``memtable_records`` is the seal
+        size of every segment: packet memtables, flow and log segments.
+    spill_dir:
+        Root of the cold tier; ``None`` keeps every tier in memory.  A
+        store built on an existing root resumes from its registry: cold
+        segments are reopened with verified checksums, id counters
+        continue past the registry's watermarks, and debris from
+        crashed compactions is cleared.
+    n_shards, window_s:
+        Packets route to ``n_shards`` ladders by time window
+        (``window_s`` seconds) x flow hash; with more than one, shard
+        ``i`` spills under ``spill_dir/shard-<i>``.  Record ids are
+        drawn from one counter in input order, whatever the shard.
+        Flows and logs are not sharded.
+    executor:
+        A :class:`~repro.parallel.ParallelExecutor` for
+        process-parallel query scans; without one — or with
+        ``workers=0`` — every path runs serially, same answers.
+    fault_injector, clock, obs:
+        Injected ingest and compactor faults, the clock for memtable
+        age and retry backoff, and an optional Observability.
+    """
+
+    def __init__(self, metadata_extractor: Optional[MetadataExtractor]
+                 = None, policy: Optional[TierPolicy] = None,
+                 spill_dir=None, n_shards: int = 1, window_s: float = 5.0,
+                 executor=None, fault_injector=None, clock=None, obs=None):
+        self.metadata_extractor = metadata_extractor
+        self.policy = policy if policy is not None else TierPolicy()
+        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
+        self.router = ShardRouter(n_shards, window_s=window_s)
+        self.executor = executor
+        self.fault_injector = fault_injector
+        self.clock = clock or VirtualClock()
+        self.transient_errors = 0
+        self.injected_latency_s = 0.0
+        self.shards = [_Shard(self._shard_dir(i)) for i in range(n_shards)]
+        #: flows and logs; packets live on the shards
+        self._segments: Dict[str, List[Segment]] = {
+            name: [] for name in schemas.SCHEMAS if name != "packets"}
+        self._segment_ids = itertools.count(1)
+        self._record_ids = itertools.count(1)
+        self.ingest_transforms: List[Callable] = []
+        self.compactor = Compactor(self)
+        self.obs = None
+        if obs is not None:
+            self.bind_obs(obs)
+        if self.spill_dir is not None:
+            self._resume_from_disk()
+
+    def _shard_dir(self, index: int) -> Optional[Path]:
+        if self.spill_dir is None:
+            return None
+        if self.router.n_shards == 1:
+            return self.spill_dir
+        return self.spill_dir / f"shard-{index}"
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.shards)
+
+    # -- obs ----------------------------------------------------------------
+
+    def bind_obs(self, obs) -> None:
+        """Attach an Observability after construction (e.g. to an
+        imported store) and cache the hot-path metric objects."""
+        from repro.obs.metrics import COUNT_BUCKETS
+        self.obs = obs
+        metrics = obs.metrics
+        self._m_ingest = {
+            name: metrics.counter("repro_store_ingest_records_total",
+                                  collection=name)
+            for name in schemas.SCHEMAS
+        }
+        self._m_ingest_batch = metrics.histogram(
+            "repro_store_ingest_batch_records", buckets=COUNT_BUCKETS)
+        tiers = ("hot", "warm", "cold")
+        self._m_tier_segments = {
+            tier: metrics.gauge("repro_tiers_segments", tier=tier)
+            for tier in tiers}
+        self._m_tier_bytes = {
+            tier: metrics.gauge("repro_tiers_bytes", tier=tier)
+            for tier in tiers}
+        self._m_debt = metrics.gauge("repro_tiers_compaction_debt")
+        self._m_seals = metrics.counter("repro_tiers_seals_total")
+        if self.n_shards > 1:
+            self._m_shard_records = [
+                metrics.gauge("repro_store_shard_records", shard=i)
+                for i in range(self.n_shards)]
+            self._m_shard_segments = [
+                metrics.gauge("repro_store_shard_segments", shard=i)
+                for i in range(self.n_shards)]
+
+    def _record_ingest_obs(self, collection: str, n: int) -> None:
+        self._m_ingest[collection].inc(n)
+        self._m_ingest_batch.observe(n)
+        if self.n_shards > 1:
+            for i, shard in enumerate(self.shards):
+                self._m_shard_records[i].set(
+                    sum(len(s) for s in shard.segments))
+                self._m_shard_segments[i].set(len(shard.segments))
+
+    def _update_tier_gauges(self) -> None:
+        if self.obs is None:
+            return
+        hot, warm, cold = self.tier_segments()
+        for tier, group in (("hot", hot), ("warm", warm), ("cold", cold)):
+            self._m_tier_segments[tier].set(len(group))
+            self._m_tier_bytes[tier].set(
+                sum(s.bytes_estimate for s in group))
+        self._m_debt.set(len(self.compactor.debt()))
+
+    # -- ingest ------------------------------------------------------------
+
+    def _chaos_gate(self, site: str) -> None:
+        """Injected store faults fire here, before any mutation."""
+        injector = self.fault_injector
+        if injector is None:
+            return
+        if injector.should_fire(FaultKind.STORE_TRANSIENT, site=site):
+            self.transient_errors += 1
+            raise TransientStoreError(f"injected transient fault in {site}")
+        if injector.should_fire(FaultKind.STORE_LATENCY, site=site):
+            delay = injector.magnitude(FaultKind.STORE_LATENCY)
+            self.injected_latency_s += delay
+            self.clock.sleep(delay)
+
+    def resilient_ingestor(self, fn: Callable, policy: Optional[RetryPolicy]
+                           = None, bus=None, site: Optional[str] = None) \
+            -> Callable:
+        """Wrap a bulk-ingest method with transient-error retries.
+
+        The store's ingest paths raise :class:`TransientStoreError`
+        before touching any segment, so re-running the call is exactly
+        idempotent.  Backoff runs on the store's (virtual) clock.
+        """
+        return retrying(policy or STORE_RETRY_POLICY, clock=self.clock,
+                        bus=bus, site=site or getattr(fn, "__name__",
+                                                      "ingest"))(fn)
+
+    def add_ingest_transform(self, transform: Callable) -> None:
+        """Install a privacy/cleaning transform applied at ingest.
+
+        ``transform(collection_name, record, tags) -> (record, tags)``
+        may rewrite the record (e.g. anonymize addresses) or the tags;
+        returning ``(None, None)`` drops the record.
+        """
+        self.ingest_transforms.append(transform)
+
+    def _record_segment(self, collection: str) -> Segment:
+        """The open flow or log segment, sealing a full one."""
+        segments = self._segments[collection]
+        if segments and not segments[-1].sealed:
+            if not segments[-1].full:
+                return segments[-1]
+            segments[-1].seal()
+        segment = Segment(schemas.SCHEMAS[collection],
+                          next(self._segment_ids),
+                          capacity=self.policy.memtable_records)
+        segments.append(segment)
+        return segment
+
+    def _ingest(self, collection: str, record, tags: Dict[str, str]) -> \
+            Optional[StoredRecord]:
+        for transform in self.ingest_transforms:
+            record, tags = transform(collection, record, tags)
+            if record is None:
+                return None
+        stored = StoredRecord(rid=next(self._record_ids), record=record,
+                              tags=tags or {}, label=None)
+        self._record_segment(collection).append(stored)
+        return stored
+
+    def _tag_codes(self, cols: PacketColumns) \
+            -> Tuple[np.ndarray, List[Dict[str, str]]]:
+        """One tag code per row plus the distinct tag sets."""
+        if self.metadata_extractor is None:
+            return np.zeros(len(cols), dtype=np.int64), [{}]
+        return self.metadata_extractor.extract_codes(cols)
+
+    def _take_rids(self, n: int) -> np.ndarray:
+        """The next ``n`` record ids, in order, as one array."""
+        if not n:
+            return np.zeros(0, dtype=np.uint64)
+        start = next(self._record_ids)
+        deque(itertools.islice(self._record_ids, n - 1), maxlen=0)
+        return np.arange(start, start + n, dtype=np.uint64)
+
+    def ingest_packets(
+        self, packets: Union[Iterable[PacketRecord], PacketColumns],
+        tags: Optional[List[Dict[str, str]]] = None
+    ) -> int:
+        """Store captured packets (with extracted metadata).
+
+        Accepts a plain iterable of records or a columnar
+        :class:`~repro.netsim.packets.PacketColumns` batch.  Either way
+        the store keeps columns: tags come from one vectorized pass
+        over them, record ids are one range, and each memtable appends
+        a column slice.  No row object is built here.  ``tags`` (one
+        dict per packet) replaces metadata extraction, e.g. to restore
+        an export.
+        """
+        if not isinstance(packets, PacketColumns) and \
+                not isinstance(packets, list):
+            packets = list(packets)
+        if not len(packets):
+            return 0
+        self._chaos_gate("ingest_packets")
+        cols, tags = packet_batch(packets, tags, self.ingest_transforms,
+                                  self._tag_codes)
+        total = len(cols)
+        if total:
+            codes, tag_sets = tags if tags is not None \
+                else self._tag_codes(cols)
+            rids = self._take_rids(total)
+            if self.n_shards == 1:
+                self._append(self.shards[0], cols, rids, codes, tag_sets)
+            else:
+                # rids come in input order: the global order the
+                # (time, rid) query merge reconstructs
+                positions = self.router.partition_positions(
+                    self.router.assign_columns(cols))
+                for shard, rows in zip(self.shards, positions):
+                    if len(rows):
+                        self._append(shard, cols.take(rows), rids[rows],
+                                     codes[rows], tag_sets)
+        if self.obs is not None:
+            self._record_ingest_obs("packets", total)
+        return total
+
+    def _append(self, shard: _Shard, cols: PacketColumns, rids: np.ndarray,
+                codes: np.ndarray, tag_sets: List[Dict[str, str]]) -> None:
+        """Append a batch to one shard's memtable, sealing and opening
+        memtables as they fill."""
+        total = len(cols)
+        offset = 0
+        while offset < total:
+            memtable = self._memtable(shard)
+            hi = min(offset + memtable.capacity - len(memtable), total)
+            memtable.append_columns(cols.slice(offset, hi), rids[offset:hi],
+                                    codes[offset:hi], tag_sets)
+            offset = hi
+
+    def _memtable(self, shard: _Shard) -> PacketSegment:
+        """The shard's memtable, after sealing a full or aged one."""
+        memtable = shard.memtable()
+        if memtable is not None:
+            if not memtable.full and not self._memtable_aged(shard):
+                return memtable
+            self._seal(shard)
+        memtable = PacketSegment(schemas.SCHEMAS["packets"],
+                                 next(self._segment_ids),
+                                 capacity=self.policy.memtable_records)
+        shard.segments.append(memtable)
+        shard.opened_at = self.clock.now()
+        return memtable
+
+    def ingest_flows(self, flows: Iterable[FlowRecord]) -> int:
+        """Store assembled flow records; returns how many were kept."""
+        if not isinstance(flows, list):
+            flows = list(flows)
+        self._chaos_gate("ingest_flows")
+        count = 0
+        for flow in flows:
+            tags = {"service": flow.service}
+            if self._ingest("flows", flow, tags) is not None:
+                count += 1
+        if self.obs is not None:
+            self._record_ingest_obs("flows", count)
+        return count
+
+    def ingest_log(self, log: LogRecord) -> None:
+        """Store one complementary sensor record."""
+        self._chaos_gate("ingest_log")
+        self._ingest("logs", log, {"kind": log.kind})
+        if self.obs is not None:
+            self._m_ingest["logs"].inc()
+
+    def ingest_logs(self, logs: Iterable[LogRecord]) -> int:
+        """Store a batch of sensor records; returns the count."""
+        count = 0
+        for log in logs:
+            self.ingest_log(log)
+            count += 1
+        return count
+
+    # -- segments ------------------------------------------------------------
+
+    def segments(self, collection: str) -> List:
+        """The collection's segments.  Packets come shard by shard, as
+        a fresh list: change membership through :meth:`evict_segment`
+        or the compactor."""
+        if collection == "packets":
+            return [segment for shard in self.shards
+                    for segment in shard.segments]
+        if collection not in self._segments:
+            known = ", ".join(sorted(schemas.SCHEMAS))
+            raise KeyError(
+                f"unknown collection {collection!r}; one of {known}")
+        return self._segments[collection]
+
+    def evict_segment(self, collection: str, segment) -> None:
+        """Remove one segment from the store.
+
+        The single sanctioned mutation point for segment lifecycle
+        outside compaction (REP308): retention calls this.  Evicting a
+        cold segment also drops it from its shard's registry and
+        deletes its directory.
+        """
+        if collection != "packets":
+            self.segments(collection).remove(segment)
+            return
+        for shard in self.shards:
+            if any(candidate is segment for candidate in shard.segments):
+                break
+        else:
+            raise ValueError("segment not held by any shard")
+        shard.segments[:] = [s for s in shard.segments if s is not segment]
+        if isinstance(segment, ColdSegment):
+            _, _, cold = shard.tiers()
+            self._write_registry(shard, [c.directory.name for c in cold])
+            shutil.rmtree(segment.directory, ignore_errors=True)
+        self._update_tier_gauges()
+
+    # -- query -------------------------------------------------------------
+
+    def query(self, query: Query) -> List[StoredRecord]:
+        """Run a query; see :class:`repro.datastore.query.Query`.
+
+        Every query goes through the deterministic ``(time, rid)``
+        merge, so sealing, compaction and sharding never perturb tie
+        order."""
+        obs = self.obs
+        if obs is None:
+            return execute_plan_sharded(self, plan_query(self, query),
+                                        executor=self.executor)
+        with obs.span("store.query", collection=query.collection,
+                      shards=self.n_shards) as span:
+            records = execute_plan_sharded(self, plan_query(self, query),
+                                           executor=self.executor, obs=obs)
+            span.set(rows=len(records))
+        return records
+
+    def aggregate(self, query: Query, aggregation: Aggregation) -> Dict:
+        return execute_aggregate(self, query, aggregation)
+
+    def count(self, collection: str) -> int:
+        return sum(len(s) for s in self.segments(collection))
+
+    # -- planning ------------------------------------------------------------
+
+    def build_stats(self, collection: Optional[str] = None) -> int:
+        """Build planner stats for every segment missing a fresh block
+        (every collection when ``collection`` is None).  Returns how
+        many were built."""
+        names = [collection] if collection is not None else \
+            list(schemas.SCHEMAS)
+        built = 0
+        for name in names:
+            for segment in self.segments(name):
+                if segment.stats() is None:
+                    segment.build_stats()
+                    built += 1
+        return built
+
+    def plan(self, query: Query):
+        """The :class:`~repro.datastore.planner.QueryPlan` this store
+        would execute for ``query`` (a snapshot: plan and execute
+        before ingesting more)."""
+        return plan_query(self, query)
+
+    def explain(self, query: Query) -> str:
+        """EXPLAIN text for ``query`` without executing it."""
+        return self.plan(query).explain()
+
+    def count_matching(self, query: Query):
+        """``COUNT(*)`` of the query's matches as an
+        :class:`~repro.datastore.planner.AggregateAnswer`;
+        sketch-backed when ``query.approx`` allows."""
+        return execute_count(self, query, obs=self.obs)
+
+    def distinct_count(self, query: Query, fld: str):
+        """Distinct values of ``fld`` among the query's matches."""
+        return execute_distinct(self, query, fld, obs=self.obs)
+
+    def heavy_hitters(self, query: Query, fld: str, k: int = 8):
+        """Top-``k`` ``(value, count)`` pairs of ``fld``."""
+        return execute_heavy_hitters(self, query, fld, k=k, obs=self.obs)
+
+    # -- summaries -----------------------------------------------------------
+
+    def bytes_estimate(self, collection: Optional[str] = None) -> int:
+        names = [collection] if collection is not None else schemas.SCHEMAS
+        return sum(s.bytes_estimate for name in names
+                   for s in self.segments(name))
+
+    def time_span(self, collection: str) \
+            -> Tuple[Optional[float], Optional[float]]:
+        segments = self.segments(collection)
+        mins = [s.min_time for s in segments if s.min_time is not None]
+        maxs = [s.max_time for s in segments if s.max_time is not None]
+        return (min(mins) if mins else None, max(maxs) if maxs else None)
+
+    def summary(self) -> Dict[str, Dict]:
+        """Per-collection counts, bytes, and time span."""
+        out = {}
+        for name in schemas.SCHEMAS:
+            lo, hi = self.time_span(name)
+            out[name] = {
+                "records": self.count(name),
+                "segments": len(self.segments(name)),
+                "bytes": self.bytes_estimate(name),
+                "min_time": lo,
+                "max_time": hi,
+            }
+        return out
+
+    def shard_summary(self) -> List[Dict[str, int]]:
+        """Per-shard packet record/segment counts (balance diagnostics)."""
+        return [{"records": sum(len(s) for s in shard.segments),
+                 "segments": len(shard.segments)} for shard in self.shards]
+
+    # -- tiers --------------------------------------------------------------
+
+    def tier_segments(self) -> Tuple[List, List, List]:
+        """(hot, warm, cold) packet segments across every shard."""
+        hot: List = []
+        warm: List = []
+        cold: List = []
+        for shard in self.shards:
+            h, w, c = shard.tiers()
+            hot.extend(h)
+            warm.extend(w)
+            cold.extend(c)
         return hot, warm, cold
 
     def tier_summary(self) -> Dict[str, Dict]:
@@ -937,96 +1406,82 @@ class TieredDataStore(DataStore):
 
     # -- sealing ------------------------------------------------------------
 
-    def _memtable_aged(self) -> bool:
+    def _memtable_aged(self, shard: _Shard) -> bool:
         age = self.policy.seal_age_s
-        return (age is not None and self._memtable_opened_at is not None
-                and self.clock.now() - self._memtable_opened_at >= age)
+        return (age is not None and shard.opened_at is not None
+                and self.clock.now() - shard.opened_at >= age)
 
-    def _open_segment(self, collection: str):
-        if collection != "packets":
-            return super()._open_segment(collection)
-        segments = self._segments["packets"]
-        tail = segments[-1] if segments else None
-        if isinstance(tail, PacketSegment) and not tail.sealed:
-            if not tail.full and not self._memtable_aged():
-                return tail
-            self.seal_hot()
-        segment = PacketSegment(schemas.SCHEMAS["packets"],
-                                next(self._segment_ids),
-                                capacity=self.policy.memtable_records)
-        segments.append(segment)
-        self._memtable_opened_at = self.clock.now()
-        return segment
-
-    def seal_hot(self) -> Optional[PacketSegment]:
-        """Seal the memtable into a ``(time, rid)``-sorted warm segment.
-
-        The sorted replacement (same segment id) is swapped in with one
-        list assignment.
-        """
-        segments = self._segments["packets"]
-        if not segments:
-            return None
-        memtable = segments[-1]
-        if not isinstance(memtable, PacketSegment) or memtable.sealed \
-                or not len(memtable):
-            return None
-        sealed = PacketSegment.merged([memtable], memtable.segment_id)
-        if self.stats_on_seal:
-            sealed.build_stats()
-        segments[-1] = sealed
-        self._memtable_opened_at = None
+    def _seal(self, shard: _Shard) -> bool:
+        """Seal one shard's memtable into a ``(time, rid)``-sorted warm
+        segment (same segment id), swapped in with one assignment."""
+        memtable = shard.memtable()
+        if memtable is None or not len(memtable):
+            return False
+        shard.segments[-1] = PacketSegment.merged([memtable],
+                                                  memtable.segment_id)
+        shard.opened_at = None
         if self.obs is not None:
             self._m_seals.inc()
         self._update_tier_gauges()
-        return sealed
+        return True
 
-    def maybe_seal(self) -> bool:
-        """Seal a full or aged memtable without waiting for ingest."""
-        segments = self._segments["packets"]
-        tail = segments[-1] if segments else None
-        if isinstance(tail, PacketSegment) and not tail.sealed \
-                and len(tail) and (tail.full or self._memtable_aged()):
-            return self.seal_hot() is not None
-        return False
+    def seal_hot(self) -> int:
+        """Seal every shard's memtable; returns how many sealed."""
+        return sum(self._seal(shard) for shard in self.shards)
 
-    # -- queries ------------------------------------------------------------
-
-    def query(self, query):
-        """Tiered queries always go through the deterministic
-        ``(time, rid)`` merge: segment regrouping by compaction then
-        cannot perturb tie order, so answers stay bit-identical to a
-        flat store fed the same batches."""
-        from repro.datastore.planner import execute_plan_sharded, plan_query
-        obs = self.obs
-        if obs is None:
-            return execute_plan_sharded(self, plan_query(self, query))
-        with obs.span("store.query", collection=query.collection) as span:
-            records = execute_plan_sharded(self, plan_query(self, query),
-                                           obs=obs)
-            span.set(rows=len(records))
-        return records
+    def maybe_seal(self) -> int:
+        """Seal full or aged memtables without waiting for ingest;
+        returns how many sealed."""
+        return sum(self._seal(shard) for shard in self.shards
+                   if shard.memtable() is not None
+                   and (shard.memtable().full or self._memtable_aged(shard)))
 
     # -- persistence --------------------------------------------------------
 
-    def _write_registry(self, dirs: List[str]) -> None:
-        """Atomically commit the cold-tier membership (the commit point
-        of every disk-touching compaction op)."""
-        if self.spill_dir is None:
-            return
+    def _write_registry(self, shard: _Shard, dirs: List[str]) -> None:
+        """Atomically commit one shard's cold-tier membership (the
+        commit point of every disk-touching compaction op)."""
         payload = {
             "format_version": COLD_FORMAT_VERSION,
             "segments": list(dirs),
             "next_segment_id": _counter_value(self._segment_ids),
             "next_record_id": _counter_value(self._record_ids),
         }
-        tmp = self.spill_dir / f"{REGISTRY_NAME}.tmp-{os.getpid()}"
+        tmp = shard.spill_dir / f"{REGISTRY_NAME}.tmp-{os.getpid()}"
         tmp.write_text(json.dumps(payload, indent=2))
-        os.replace(tmp, self.spill_dir / REGISTRY_NAME)
+        os.replace(tmp, shard.spill_dir / REGISTRY_NAME)
 
     def _resume_from_disk(self) -> None:
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
-        registry_path = self.spill_dir / REGISTRY_NAME
+        """Reopen every shard's registered cold segments; the id
+        counters continue past the highest watermark any shard's
+        registry recorded, so ids never collide.
+
+        A root written with another shard count is refused: reopening
+        it would clear the other layout's directories as debris."""
+        root = self.spill_dir
+        shards = {p.name for p in root.glob("shard-*")}
+        if self.n_shards == 1:
+            fits = not shards
+        else:
+            fits = not (root / REGISTRY_NAME).exists() and shards in (
+                set(), {f"shard-{i}" for i in range(self.n_shards)})
+        if not fits:
+            raise PersistenceError(
+                f"{root} was written with {len(shards) or 1} shard(s), "
+                f"not {self.n_shards}")
+        floors = [floor for floor in map(self._resume_shard, self.shards)
+                  if floor is not None]
+        if floors:
+            self._segment_ids = itertools.count(max(f[0] for f in floors))
+            self._record_ids = itertools.count(max(f[1] for f in floors))
+        self._update_tier_gauges()
+
+    @staticmethod
+    def _resume_shard(shard: _Shard) -> Optional[Tuple[int, int]]:
+        """Reopen one shard's registry; returns its (next segment id,
+        next record id) watermarks, or None without a registry."""
+        shard.spill_dir.mkdir(parents=True, exist_ok=True)
+        registry_path = shard.spill_dir / REGISTRY_NAME
         registered: List[str] = []
         payload = None
         if registry_path.exists():
@@ -1037,7 +1492,7 @@ class TieredDataStore(DataStore):
                     f"{payload.get('format_version')}")
             registered = list(payload["segments"])
         keep = set(registered)
-        for entry in sorted(self.spill_dir.iterdir()):
+        for entry in sorted(shard.spill_dir.iterdir()):
             if entry.name == REGISTRY_NAME:
                 continue
             if entry.is_dir() and entry.name not in keep:
@@ -1045,189 +1500,28 @@ class TieredDataStore(DataStore):
             elif entry.is_file():
                 entry.unlink()                # torn registry tmp file
         if payload is None:
-            return
+            return None
         cold: List[ColdSegment] = []
         for name in registered:
-            segment = ColdSegment(self.spill_dir / name)
+            segment = ColdSegment(shard.spill_dir / name)
             segment.verify_checksums()
             cold.append(segment)
-        self._segments["packets"][:0] = cold
-        self._segment_ids = itertools.count(int(payload["next_segment_id"]))
-        self._record_ids = itertools.count(int(payload["next_record_id"]))
-        self.resume_next_ids = (int(payload["next_segment_id"]),
-                                int(payload["next_record_id"]))
-        self._update_tier_gauges()
+        shard.segments[:0] = cold
+        return int(payload["next_segment_id"]), int(payload["next_record_id"])
 
     def flush_to_cold(self) -> int:
-        """Seal the memtable and spill every warm segment to disk (the
+        """Seal every memtable and spill every warm segment to disk (the
         shutdown path: a reopened store then holds every record)."""
         if self.spill_dir is None:
             raise ValueError("flush_to_cold requires a spill_dir")
-        self.seal_hot()
         flushed = 0
-        while True:
-            _, warm, _ = self.tier_segments()
-            if not warm:
-                break
-            self.compactor._spill(warm[0])
-            flushed += 1
+        for shard in self.shards:
+            self._seal(shard)
+            while True:
+                _, warm, _ = shard.tiers()
+                if not warm:
+                    break
+                self.compactor._spill(shard, warm[0])
+                flushed += 1
         self._update_tier_gauges()
         return flushed
-
-    # -- retention ----------------------------------------------------------
-
-    def evict_segment(self, collection: str, segment) -> None:
-        if not isinstance(segment, ColdSegment):
-            super().evict_segment(collection, segment)
-            return
-        segments = self._segments["packets"]
-        segments.remove(segment)
-        _, _, cold = self.tier_segments()
-        self._write_registry([c.directory.name for c in cold])
-        shutil.rmtree(segment.directory, ignore_errors=True)
-        self._update_tier_gauges()
-
-    # -- obs ----------------------------------------------------------------
-
-    def bind_obs(self, obs) -> None:
-        super().bind_obs(obs)
-        tiers = ("hot", "warm", "cold")
-        self._m_tier_segments = {
-            tier: obs.metrics.gauge("repro_tiers_segments", tier=tier)
-            for tier in tiers}
-        self._m_tier_bytes = {
-            tier: obs.metrics.gauge("repro_tiers_bytes", tier=tier)
-            for tier in tiers}
-        self._m_debt = obs.metrics.gauge("repro_tiers_compaction_debt")
-        self._m_seals = obs.metrics.counter("repro_tiers_seals_total")
-
-    def _update_tier_gauges(self) -> None:
-        if self.obs is None:
-            return
-        hot, warm, cold = self.tier_segments()
-        for tier, group in (("hot", hot), ("warm", warm), ("cold", cold)):
-            self._m_tier_segments[tier].set(len(group))
-            self._m_tier_bytes[tier].set(
-                sum(s.bytes_estimate for s in group))
-        compactor = getattr(self, "compactor", None)
-        if compactor is not None:
-            self._m_debt.set(len(compactor.debt()))
-
-
-# -- sharded tiering ---------------------------------------------------------
-
-
-class _ShardedCompactor:
-    """Facade over the per-shard compactors: same debt/step/run
-    surface, stepping whichever shard owes work first."""
-
-    def __init__(self, store: "TieredShardedDataStore"):
-        self.store = store
-
-    def debt(self) -> List[Tuple[str, List]]:
-        return [op for shard in self.store.shards
-                for op in shard.compactor.debt()]
-
-    def step(self) -> Optional[str]:
-        for shard in self.store.shards:
-            kind = shard.compactor.step()
-            if kind is not None:
-                return kind
-        return None
-
-    def run(self, max_steps: int = 256) -> List[str]:
-        done: List[str] = []
-        while len(done) < max_steps:
-            kind = self.step()
-            if kind is None:
-                break
-            done.append(kind)
-        return done
-
-
-class TieredShardedDataStore(ShardedDataStore):
-    """Time×flow-hash sharding where every shard is tiered.
-
-    Each shard owns its own memtable, warm runs, compactor, and (under
-    ``spill_dir``) a ``shard-<i>`` cold directory.  Rids still come
-    from the parent's counter in input order, so the inherited
-    ``(time, rid)`` sharded merge keeps answers bit-identical to a
-    flat store regardless of per-shard compaction progress.
-    """
-
-    def __init__(self, n_shards: int, metadata_extractor=None,
-                 fault_injector=None, clock=None, window_s: float = 5.0,
-                 executor=None, obs=None, stats_on_seal: bool = False,
-                 policy: Optional[TierPolicy] = None, spill_dir=None):
-        self.policy = policy if policy is not None else TierPolicy()
-        self.spill_root = Path(spill_dir) if spill_dir is not None else None
-        super().__init__(n_shards, metadata_extractor=metadata_extractor,
-                         segment_capacity=self.policy.memtable_records,
-                         fault_injector=fault_injector, clock=clock,
-                         window_s=window_s, executor=executor, obs=obs,
-                         stats_on_seal=stats_on_seal)
-        self.compactor = _ShardedCompactor(self)
-        # Shards that resumed from disk had their id counters replaced
-        # by the parent's shared ones; restart the shared counters past
-        # every shard's registry watermark so ids never collide.
-        floors = [shard.resume_next_ids for shard in self.shards
-                  if shard.resume_next_ids is not None]
-        if floors:
-            segment_floor = max(max(f[0] for f in floors),
-                                _counter_value(self._segment_ids))
-            record_floor = max(max(f[1] for f in floors),
-                               _counter_value(self._record_ids))
-            self._segment_ids = itertools.count(segment_floor)
-            self._record_ids = itertools.count(record_floor)
-            for shard in self.shards:
-                shard._segment_ids = self._segment_ids
-                shard._record_ids = self._record_ids
-
-    def _make_shard(self, index: int) -> TieredDataStore:
-        spill = None if self.spill_root is None \
-            else self.spill_root / f"shard-{index}"
-        return TieredDataStore(metadata_extractor=None, policy=self.policy,
-                               spill_dir=spill,
-                               fault_injector=self.fault_injector,
-                               clock=self.clock,
-                               stats_on_seal=self.stats_on_seal)
-
-    @property
-    def spill_dir(self):
-        return self.spill_root
-
-    def tier_segments(self) -> Tuple[List, List, List]:
-        hot: List = []
-        warm: List = []
-        cold: List = []
-        for shard in self.shards:
-            h, w, c = shard.tier_segments()
-            hot.extend(h)
-            warm.extend(w)
-            cold.extend(c)
-        return hot, warm, cold
-
-    tier_summary = TieredDataStore.tier_summary
-
-    def seal_hot(self) -> int:
-        return sum(1 for shard in self.shards
-                   if shard.seal_hot() is not None)
-
-    def maybe_seal(self) -> int:
-        return sum(1 for shard in self.shards if shard.maybe_seal())
-
-    def flush_to_cold(self) -> int:
-        if self.spill_root is None:
-            raise ValueError("flush_to_cold requires a spill_dir")
-        return sum(shard.flush_to_cold() for shard in self.shards)
-
-    def evict_segment(self, collection: str, segment) -> None:
-        if not isinstance(segment, ColdSegment):
-            super().evict_segment(collection, segment)
-            return
-        for shard in self.shards:
-            if any(candidate is segment
-                   for candidate in shard._segments["packets"]):
-                shard.evict_segment(collection, segment)
-                return
-        raise ValueError("segment not held by any shard")

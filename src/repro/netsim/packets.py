@@ -274,7 +274,7 @@ def u32_to_ip(value: int) -> str:
     cached = _u32_to_ip_cache.get(value)
     if cached is not None:
         return cached
-    text = ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    text = f"{value >> 24 & 0xFF}.{value >> 16 & 0xFF}.{value >> 8 & 0xFF}.{value & 0xFF}"
     if len(_u32_to_ip_cache) >= _IP_CACHE_LIMIT:
         _u32_to_ip_cache.clear()
     _u32_to_ip_cache[value] = text

@@ -2,7 +2,7 @@
 
 §5: the IT organisation arbitrates "what data can or cannot be made
 available to which of the university's many different constituents".
-The arbiter wraps a :class:`~repro.datastore.store.DataStore` and
+The arbiter wraps a :class:`~repro.datastore.tiers.TieredDataStore` and
 enforces per-role collection access, time-depth limits, and row-level
 redaction; every access lands in an audit log.
 """

@@ -75,7 +75,7 @@ def make_ingest_transform(policy: PrivacyPolicy,
 
     The returned callable has the
     ``(collection, record, tags) -> (record, tags)`` signature
-    :meth:`repro.datastore.store.DataStore.add_ingest_transform`
+    :meth:`repro.datastore.tiers.TieredDataStore.add_ingest_transform`
     expects.
     """
 

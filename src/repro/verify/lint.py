@@ -63,7 +63,7 @@ _WALLCLOCK_ATTRS = {"time", "monotonic", "perf_counter",
                     "time_ns", "monotonic_ns", "perf_counter_ns"}
 
 #: segment-scan internals only the planner/executor layer may call
-#: (REP307).  Everyone else goes through execute_query/plan_query so
+#: (REP307).  Everyone else goes through store.query/plan_query so
 #: stats pruning, predicate ordering, and EXPLAIN stay accurate.
 _QUERY_INTERNALS = {"_scan_segment", "_columnar_scan", "_record_scan",
                     "_candidate_positions", "columnar_positions"}
@@ -163,8 +163,7 @@ class LintConfig:
     #: the only modules allowed to mutate segment lists in place
     #: (REP308); everyone else goes through evict_segment()/compaction.
     segment_mutation_scope: List[str] = field(
-        default_factory=lambda: ["datastore/store.py",
-                                 "datastore/tiers.py"])
+        default_factory=lambda: ["datastore/tiers.py"])
     #: columnar packet-path modules where per-packet record
     #: construction is forbidden (REP309) — packets must stay columnar.
     fluid_hot_scope: List[str] = field(
@@ -434,7 +433,7 @@ class _PatternVisitor(ast.NodeVisitor):
             self._report(
                 "REP307",
                 f"{chain[-1]}() is a segment-scan internal; call "
-                f"execute_query/plan_query so planning (stats pruning, "
+                f"store.query/plan_query so planning (stats pruning, "
                 f"predicate ordering, EXPLAIN) stays in the loop",
                 node.lineno)
         if self._check_segment_mutation and \

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import generate_report
 from repro.capture.sensors import LogRecord
-from repro.datastore import DataStore
+from repro.datastore import TieredDataStore
 from repro.netsim.packets import PacketRecord
 
 
@@ -21,7 +21,7 @@ def _packet(ts, src, size=1000, label="benign", service_port=443):
 def store():
     from repro.capture.metadata import MetadataExtractor
 
-    s = DataStore(metadata_extractor=MetadataExtractor())
+    s = TieredDataStore(metadata_extractor=MetadataExtractor())
     s.ingest_packets([_packet(float(i), "9.9.9.9", size=2000)
                       for i in range(20)])
     s.ingest_packets([_packet(float(i), "8.8.8.8", size=100,
@@ -77,7 +77,7 @@ def test_render_markdown(store):
 
 
 def test_empty_store_report():
-    text = generate_report(DataStore()).render()
+    text = generate_report(TieredDataStore()).render()
     assert "none recorded" in text
     assert "no sensor records" in text
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.capture import metadata
 from repro.capture.metadata import MetadataExtractor, _dense, _group
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.netsim import make_campus
 from repro.netsim.flows import Flow
 from repro.netsim.packets import (
@@ -184,8 +184,9 @@ class TestGroupKey:
 def test_store_keeps_each_rows_tags(campus):
     """Every stored row's tags are its record's ``extract`` tags."""
     records = _adversarial_records(campus)
-    store = DataStore(metadata_extractor=MetadataExtractor(campus.topology),
-                      segment_capacity=37)
+    store = TieredDataStore(
+        metadata_extractor=MetadataExtractor(campus.topology),
+        policy=TierPolicy(memtable_records=37))
     store.ingest_packets(PacketColumns.from_records(records[:90]))
     store.ingest_packets(PacketColumns.from_records(records[90:]))
     reference = MetadataExtractor(campus.topology)

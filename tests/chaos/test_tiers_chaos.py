@@ -17,11 +17,12 @@ from repro.chaos.faults import (
     CompactorCrashError, FaultKind, FaultPlan, FaultSpec,
 )
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore
 from repro.datastore.tiers import (
     StreamingIngestor, TieredDataStore, TierPolicy,
 )
 from repro.netsim.packets import PacketRecord
+
+from tests.datastore.reference import execute_query_linear, reference_store
 
 #: forces all three op kinds: one warm merge (fan-in 4 over the six
 #: sealed runs), spills past the warm cap, and a cold merge once two
@@ -55,22 +56,29 @@ def _workload():
             for b in range(3)]
 
 
-def _dump(store):
+def _rows(records):
     return [(s.rid, s.record.timestamp, s.record.src_ip,
              s.record.src_port, s.record.dst_port, s.record.size,
              bytes(s.record.payload), dict(s.tags), s.label)
-            for s in store.query(Query(collection="packets"))]
+            for s in records]
+
+
+def _dump(store):
+    return _rows(store.query(Query(collection="packets")))
 
 
 def _build(spill_dir, injector=None):
+    """The store under test, sealed, plus the rows it must answer
+    with: the linear reference's over the same batches."""
     store = TieredDataStore(policy=POLICY, spill_dir=spill_dir,
                             fault_injector=injector)
-    flat = DataStore()
+    oracle = reference_store()
     for batch in _workload():
         store.ingest_packets(batch)
-        flat.ingest_packets(batch)
+        oracle.ingest_packets(batch)
     store.seal_hot()
-    return store, flat
+    return store, _rows(execute_query_linear(oracle,
+                                             Query(collection="packets")))
 
 
 def _crash_plan(skip):
@@ -85,9 +93,9 @@ def _count_opportunities(tmp_path):
     plan = FaultPlan(name="count", seed=7, specs=(
         FaultSpec(kind=FaultKind.COMPACT_CRASH, rate=0.0),))
     injector = plan.injector()
-    store, flat = _build(tmp_path / "count", injector)
+    store, expected = _build(tmp_path / "count", injector)
     store.compactor.run()
-    assert _dump(store) == _dump(flat)
+    assert _dump(store) == expected
     return injector.summary()["compact.crash"]["opportunities"]
 
 
@@ -98,7 +106,7 @@ def test_compactor_crash_at_every_step_loses_nothing(tmp_path):
     for k in range(total):
         injector = _crash_plan(k).injector()
         spill = tmp_path / f"crash-{k}"
-        store, flat = _build(spill, injector)
+        store, expected = _build(spill, injector)
         with pytest.raises(CompactorCrashError):
             store.compactor.run()
         (event,) = [e for e in injector.events
@@ -106,29 +114,29 @@ def test_compactor_crash_at_every_step_loses_nothing(tmp_path):
         steps_hit.add(event.detail["step"])
 
         # (a) the in-process store lost nothing, mid-crash
-        assert _dump(store) == _dump(flat)
+        assert _dump(store) == expected
 
         # (b) a reopen right now (snapshot the dir: reopen clears
         # crash debris, and the live store may still reference it)
         snapshot = tmp_path / f"snap-{k}"
         shutil.copytree(spill, snapshot)
         reopened = TieredDataStore(policy=POLICY, spill_dir=snapshot)
-        flat_by_rid = {row[0]: row for row in _dump(flat)}
+        expected_by_rid = {row[0]: row for row in expected}
         for row in _dump(reopened):
-            assert row == flat_by_rid[row[0]]
+            assert row == expected_by_rid[row[0]]
         shutil.rmtree(snapshot)
 
         # (c) the retry converges — the fault is exhausted (limit=1)
         store.compactor.run()
         assert store.compactor.debt() == []
-        assert _dump(store) == _dump(flat)
+        assert _dump(store) == expected
 
         # (d) flush everything down and reopen: checksums verify,
         # answers still bit-identical
         store.flush_to_cold()
         store.compactor.run()
         final = TieredDataStore(policy=POLICY, spill_dir=spill)
-        assert _dump(final) == _dump(flat)
+        assert _dump(final) == expected
     # the sweep visited every injectable step the compactor defines
     assert steps_hit == EXPECTED_STEPS
 
@@ -136,14 +144,14 @@ def test_compactor_crash_at_every_step_loses_nothing(tmp_path):
 def test_crash_during_flush_to_cold_is_retryable(tmp_path):
     """flush_to_cold drives the same spill protocol; crash it too."""
     injector = _crash_plan(1).injector()
-    store, flat = _build(tmp_path / "flush", injector)
+    store, expected = _build(tmp_path / "flush", injector)
     with pytest.raises(CompactorCrashError):
         store.flush_to_cold()      # dies inside the first spill
-    assert _dump(store) == _dump(flat)
+    assert _dump(store) == expected
     store.flush_to_cold()
     _, warm, cold = store.tier_segments()
     assert not warm and cold
-    assert _dump(store) == _dump(flat)
+    assert _dump(store) == expected
 
 
 def test_queue_stall_backpressure_is_accounted(tmp_path):

@@ -41,6 +41,28 @@ def test_ingest_streams_flushes_and_reopens(tmp_path, capsys):
     assert summary["compaction_debt"] == 0
 
 
+def test_ingest_sharded_spill_reopens_every_shard(tmp_path, capsys):
+    spill = tmp_path / "tiers"
+    assert main([
+        "ingest", "--profile", "tiny", "--seed", "3", "--duration", "60",
+        "--attack", "scan", "--shards", "2", "--spill", str(spill),
+        "--memtable", "1024", "--flush-cold", "--json",
+    ]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["cold"]["records"] > 100
+
+    # the reopen finds both shard directories and verifies them
+    assert main(["ingest", "--summary-only", "--spill", str(spill),
+                 "--json"]) == 0
+    reopened = json.loads(capsys.readouterr().out)
+    assert reopened["cold"]["records"] == first["cold"]["records"]
+    assert reopened["hot"]["records"] == reopened["warm"]["records"] == 0
+    segments = sorted(spill.rglob("seg-*"))
+    assert segments
+    assert all(segment.parent.name in ("shard-0", "shard-1")
+               for segment in segments)
+
+
 def _stored_labels(spill):
     from repro.datastore import Query
     from repro.datastore.tiers import TieredDataStore

@@ -98,7 +98,7 @@ def test_streaming_platform_tiers_and_matches_flat(tmp_path):
 
     platform = CampusPlatform(PlatformConfig(
         campus_profile="tiny", seed=4, streaming=True,
-        streaming_memtable_records=256,
+        segment_capacity=256,
         streaming_spill_dir=str(tmp_path / "tiers")))
     result = platform.collect(scenario, seed=4)
     assert isinstance(platform.store, TieredDataStore)

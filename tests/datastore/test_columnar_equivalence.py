@@ -1,9 +1,10 @@
 """Property tests: the accelerated query path is bit-identical.
 
-``execute_query`` (zone maps + vectorized columns + indexes) must
+``store.query`` (zone maps + vectorized columns + indexes) must
 return *exactly* the records of ``execute_query_linear`` (plain
-record-at-a-time scan), in the same order, for any mix of time ranges,
-``where`` filters, tag filters, residual predicates and limits.
+record-at-a-time scan of the same batches held unsealed in input
+order), in the same order, for any mix of time ranges, ``where``
+filters, tag filters, residual predicates and limits.
 """
 
 import math
@@ -11,11 +12,13 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
-from repro.datastore.query import Query, execute_query
-from repro.datastore.store import DataStore
+from repro.datastore.query import Query
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.netsim.packets import PacketRecord
 
-from tests.datastore.reference import execute_query_linear
+from tests.datastore.reference import (
+    execute_query_linear, record_values, reference_store,
+)
 
 # Small pools make collisions (and hence non-trivial filters) likely.
 IPS = ["10.0.0.1", "10.0.0.2", "9.9.0.7", "192.168.1.20"]
@@ -81,19 +84,28 @@ def query_strategy():
     )
 
 
-def build_store(packets, tagged: bool, sealed: bool) -> DataStore:
-    store = DataStore(metadata_extractor=MetadataExtractor(),
-                      segment_capacity=7)
+def _parity(collection, record, tags):
+    return record, {**tags, "parity": str(record.flow_id % 2)}
+
+
+def build_store(packets, tagged: bool, sealed: bool) -> TieredDataStore:
+    store = TieredDataStore(metadata_extractor=MetadataExtractor(),
+                            policy=TierPolicy(memtable_records=7))
     if tagged:
-        store.add_ingest_transform(
-            lambda collection, record, tags:
-            (record, {**tags, "parity": str(record.flow_id % 2)}))
+        store.add_ingest_transform(_parity)
     store.ingest_packets(packets)
     if sealed:
-        for segment in store.segments("packets")[:-1]:
-            if not segment.sealed:
-                segment.seal()
+        store.seal_hot()
     return store
+
+
+def linear(packets, query, tagged: bool = False):
+    """The linear reference's answer over ``packets``, by value."""
+    oracle = reference_store(metadata_extractor=MetadataExtractor())
+    if tagged:
+        oracle.add_ingest_transform(_parity)
+    oracle.ingest_packets(packets)
+    return record_values(execute_query_linear(oracle, query))
 
 
 @settings(max_examples=120, deadline=None)
@@ -105,9 +117,8 @@ def build_store(packets, tagged: bool, sealed: bool) -> DataStore:
 )
 def test_columnar_path_matches_linear_scan(packets, query, tagged, sealed):
     store = build_store(packets, tagged, sealed)
-    fast = execute_query(store, query)
-    linear = execute_query_linear(store, query)
-    assert [id(s) for s in fast] == [id(s) for s in linear]
+    assert record_values(store.query(query)) == \
+        linear(packets, query, tagged)
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,9 +129,7 @@ def test_columnar_path_matches_linear_scan(packets, query, tagged, sealed):
 def test_dict_encoded_addresses_match_linear_scan(packets, query):
     """Non-canonical IPs force the DictColumn fallback encoding."""
     store = build_store(packets, tagged=False, sealed=False)
-    fast = execute_query(store, query)
-    linear = execute_query_linear(store, query)
-    assert [id(s) for s in fast] == [id(s) for s in linear]
+    assert record_values(store.query(query)) == linear(packets, query)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,10 +169,12 @@ def test_equal_timestamps_deterministic_order():
                      flow_id=i, app="", label="", direction="in")
         for i in range(10)
     ]
-    store = DataStore(segment_capacity=3)
+    store = TieredDataStore(policy=TierPolicy(memtable_records=3))
     store.ingest_packets(packets)
     query = Query(collection="packets", time_range=(5.0, 5.0))
-    fast = execute_query(store, query)
-    linear = execute_query_linear(store, query)
+    fast = store.query(query)
     assert [s.record.size for s in fast] == [100 + i for i in range(10)]
-    assert [id(s) for s in fast] == [id(s) for s in linear]
+    oracle = reference_store()
+    oracle.ingest_packets(packets)
+    assert record_values(fast) == \
+        record_values(execute_query_linear(oracle, query))

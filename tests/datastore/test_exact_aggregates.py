@@ -17,10 +17,13 @@ from repro.cli import main
 from repro.datastore.persistence import export_store, import_store
 from repro.datastore.query import Query
 from repro.datastore.stats import stat_key
-from repro.datastore.store import ShardedDataStore
 from repro.datastore.tiers import ColdSegment, TieredDataStore, TierPolicy
 from repro.obs import Observability
 
+from tests.datastore.reference import (
+    execute_query_linear, heavy_hitters_linear, reference_store,
+    tally_linear,
+)
 from tests.datastore.test_planner import _packet, _skewed_packets, _store
 
 RARE = Query(collection="packets", where={"dst_port": 53})
@@ -113,7 +116,9 @@ def _tallies(rows, fld):
 
 @pytest.mark.parametrize("query", QUERIES)
 def test_cold_aggregates_build_no_rows(query, tmp_path, monkeypatch):
-    rows = _store(_skewed_packets(), capacity=40).query(query)
+    oracle = reference_store()
+    oracle.ingest_packets(_skewed_packets())
+    rows = execute_query_linear(oracle, query)
     cold = _cold_store(tmp_path)
 
     def no_rows(self, positions):
@@ -140,18 +145,19 @@ def test_cold_tally_of_a_field_without_a_column_reads_rows(tmp_path):
 def test_limited_aggregates_cut_ties_like_a_flat_store():
     """A limit keeps the first matches in (time, rid) order.  A sharded
     store lists its segments shard-major, so tied timestamps at the
-    cut must still resolve by rid, as they do on a flat store."""
+    cut must still resolve by rid, as the linear reference does."""
     packets = [_packet(0.0, src=f"10.0.0.{i % 5}", sport=1000 + i,
                        dport=443) for i in range(40)]
-    flat = _store(packets)
-    sharded = ShardedDataStore(n_shards=4)
+    oracle = reference_store()
+    oracle.ingest_packets(packets)
+    sharded = TieredDataStore(n_shards=4)
     sharded.ingest_packets(packets)
-    assert sum(1 for shard in sharded.shards
-               if shard.count("packets")) > 1
+    assert sum(1 for shard in sharded.shard_summary()
+               if shard["records"]) > 1
     for limit in (3, 7, 11):
         query = Query(collection="packets", where={"dst_port": 443},
                       limit=limit)
         assert sharded.heavy_hitters(query, "src_ip").value == \
-            flat.heavy_hitters(query, "src_ip").value
+            heavy_hitters_linear(oracle, query, "src_ip", 8)
         assert sharded.distinct_count(query, "src_ip").value == \
-            flat.distinct_count(query, "src_ip").value
+            len(tally_linear(oracle, query, "src_ip"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datastore import DataStore, Labeler, Query
+from repro.datastore import TieredDataStore, Labeler, Query
 from repro.events.base import EventWindow, GroundTruth
 from repro.netsim.packets import PacketRecord
 
@@ -18,7 +18,7 @@ def _packet(ts, src, label="benign"):
 
 @pytest.fixture
 def labeled_store():
-    store = DataStore()
+    store = TieredDataStore()
     store.ingest_packets([
         _packet(5.0, "6.6.6.6", label="ddos-dns-amp"),   # inside window
         _packet(5.0, "8.8.8.8"),                         # other src

@@ -4,7 +4,7 @@ import pytest
 
 from repro.capture.flows import FlowRecord
 from repro.capture.sensors import LogRecord
-from repro.datastore import DataStore, Query, RecordLinker
+from repro.datastore import TieredDataStore, Query, RecordLinker
 from repro.netsim.packets import PacketRecord
 
 
@@ -19,7 +19,7 @@ def _packet(ts, sport=53, dport=4444):
 
 @pytest.fixture
 def store():
-    s = DataStore()
+    s = TieredDataStore()
     s.ingest_packets([_packet(1.0), _packet(2.0),
                       _packet(2.5, sport=9999, dport=1111)])
     s.ingest_flows([FlowRecord(

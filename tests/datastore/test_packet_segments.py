@@ -13,7 +13,7 @@ import struct
 import pytest
 
 from repro.capture.metadata import MetadataExtractor
-from repro.datastore import DataStore, Labeler, Query
+from repro.datastore import Labeler, Query
 from repro.datastore.segments import PacketSegment, SegmentRows
 from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.events.base import EventWindow, GroundTruth
@@ -62,7 +62,7 @@ def _tiered(tmp_path=None):
 
 
 def test_no_packet_segment_keeps_a_records_list():
-    flat = DataStore(segment_capacity=8)
+    flat = TieredDataStore(policy=TierPolicy(memtable_records=8))
     flat.ingest_packets(_batch(20))
     tiered = _tiered()
     tiered.ingest_packets(_batch(40))

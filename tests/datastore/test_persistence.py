@@ -6,8 +6,8 @@ from repro.capture.flows import FlowRecord
 from repro.capture.sensors import LogRecord
 from repro.chaos import FaultKind, FaultPlan, FaultSpec, RetryPolicy, \
     TornWriteError, VirtualClock, retry
-from repro.datastore import DataStore, PersistenceError, Query, \
-    export_store, import_store
+from repro.datastore import PersistenceError, Query, TieredDataStore, \
+    TierPolicy, export_store, import_store
 from repro.datastore.query import Aggregation
 from repro.netsim.packets import PacketRecord
 
@@ -27,8 +27,8 @@ def _packet(ts, payload=b"\x16\x03\x03x"):
 def populated():
     from repro.capture.metadata import MetadataExtractor
 
-    store = DataStore(metadata_extractor=MetadataExtractor(),
-                      segment_capacity=20)
+    store = TieredDataStore(metadata_extractor=MetadataExtractor(),
+                            policy=TierPolicy(memtable_records=20))
     store.ingest_packets([_packet(float(i)) for i in range(50)])
     store.ingest_flows([FlowRecord(
         src_ip="9.9.9.9", dst_ip="10.0.0.1", src_port=53, dst_port=4444,
@@ -83,7 +83,7 @@ def test_queries_equivalent_after_round_trip(populated, tmp_path):
 
 
 def test_empty_store_round_trip(tmp_path):
-    export_store(DataStore(), tmp_path / "empty")
+    export_store(TieredDataStore(), tmp_path / "empty")
     restored = import_store(tmp_path / "empty")
     assert restored.count("packets") == 0
 

@@ -12,15 +12,17 @@ from repro.capture.metadata import MetadataExtractor
 from repro.datastore.planner import (
     GATHER_SELECTIVITY,
     ErrorBudget,
-    execute_plan,
+    execute_plan_sharded,
     plan_query,
     within,
 )
-from repro.datastore.query import Query, execute_query
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.query import Query
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.netsim.packets import PacketRecord
 
-from tests.datastore.reference import execute_query_linear
+from tests.datastore.reference import (
+    execute_query_linear, record_values, reference_store,
+)
 
 
 def _packet(t, src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=80,
@@ -33,15 +35,20 @@ def _packet(t, src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=80,
 
 
 def _store(packets, capacity=50, stats=True):
-    store = DataStore(metadata_extractor=MetadataExtractor(),
-                      segment_capacity=capacity)
+    store = TieredDataStore(metadata_extractor=MetadataExtractor(),
+                            policy=TierPolicy(memtable_records=capacity))
     store.ingest_packets(packets)
-    for segment in store.segments("packets"):
-        if not segment.sealed:
-            segment.seal()
+    store.seal_hot()
     if stats:
         store.build_stats()
     return store
+
+
+def _linear(packets, query):
+    """The linear reference's answer over ``packets``, by value."""
+    oracle = reference_store(metadata_extractor=MetadataExtractor())
+    oracle.ingest_packets(packets)
+    return record_values(execute_query_linear(oracle, query))
 
 
 def _skewed_packets():
@@ -72,7 +79,7 @@ class TestPlanIR:
         query = Query(collection="packets", where={"dst_port": 53})
         plan = plan_query(store, query)
         assert plan.root.actual_rows is None
-        records = execute_plan(store, plan)
+        records = execute_plan_sharded(store, plan)
         assert plan.root.actual_rows == len(records) == 6
         assert "actual_rows=" in plan.explain()
 
@@ -134,19 +141,19 @@ class TestStatsPruning:
         plan = plan_query(store, query)
         assert plan.scanned == 0
         assert plan.pruned == {"stats": 3}
-        assert execute_plan(store, plan) == []
+        assert execute_plan_sharded(store, plan) == []
 
     def test_pruning_is_exact(self):
         """A value folded differently (443 vs 443.0) must not prune."""
         store = _store(_skewed_packets(), capacity=40)
         for probe in (53, 53.0):
             query = Query(collection="packets", where={"dst_port": probe})
-            assert execute_query(store, query) == \
-                execute_query_linear(store, query)
+            assert record_values(store.query(query)) == \
+                _linear(_skewed_packets(), query)
 
     def test_stale_stats_are_not_consulted(self):
-        store = DataStore(metadata_extractor=MetadataExtractor(),
-                          segment_capacity=200)
+        store = TieredDataStore(metadata_extractor=MetadataExtractor(),
+                                policy=TierPolicy(memtable_records=200))
         store.ingest_packets(_skewed_packets())
         store.build_stats()
         segment = store.segments("packets")[0]
@@ -154,16 +161,16 @@ class TestStatsPruning:
         store.ingest_packets([_packet(t=500.0, dport=9999)])
         assert segment.stats() is None
         query = Query(collection="packets", where={"dst_port": 9999})
-        records = execute_query(store, query)
+        records = store.query(query)
         assert len(records) == 1
         assert execute_query_linear(store, query) == records
 
 
 class TestShardPruning:
     def _sharded(self, packets, n_shards=4):
-        store = ShardedDataStore(
+        store = TieredDataStore(
             n_shards=n_shards, metadata_extractor=MetadataExtractor(),
-            segment_capacity=30, window_s=5.0)
+            policy=TierPolicy(memtable_records=30), window_s=5.0)
         store.ingest_packets(packets)
         return store
 
@@ -177,9 +184,8 @@ class TestShardPruning:
                    "src_port": 1000, "dst_port": 80, "protocol": 6})
         plan = plan_query(store, query)
         assert plan.pruned.get("shard", 0) > 0
-        serial = _store(packets, capacity=30, stats=False)
-        assert [s.rid for s in store.query(query)] == \
-            [s.rid for s in serial.query(query)]
+        assert record_values(store.query(query)) == \
+            _linear(packets, query)
 
     def test_partial_key_never_prunes_by_shard(self):
         packets = [_packet(t=float(i) * 0.5, flow=i % 8)

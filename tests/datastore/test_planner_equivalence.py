@@ -3,10 +3,10 @@
 The planner reorders predicates, prunes segments from stats, picks
 gather vs. mask evaluation, and prunes shards before scatter — all of
 it must be invisible in the answers.  For any random packet batch and
-query shape, exact-mode planned execution returns *the same record
-objects in the same order* as ``execute_query_linear``, on serial and
-sharded stores alike; approximate aggregates must land within their
-declared error budget.
+query shape, exact-mode planned execution returns *the same records
+in the same order* as ``execute_query_linear`` over the same batches
+held unsealed in input order, at every shard count; approximate
+aggregates must land within their declared error budget.
 """
 
 import numpy as np
@@ -14,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.planner import within
-from repro.datastore.query import Query, execute_query
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.query import Query
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.netsim.packets import PacketRecord
 
-from tests.datastore.reference import execute_query_linear
+from tests.datastore.reference import (
+    execute_query_linear, record_values, reference_store,
+)
 
 WINDOW_S = 5.0
 IPS = ["10.0.0.1", "10.0.0.2", "9.9.0.7", "192.168.1.20"]
@@ -103,20 +105,22 @@ def query_strategy(full_flow_key: bool = False):
     )
 
 
-def _planned_store(packets, capacity=16) -> DataStore:
+def _planned_store(packets, capacity=16, n_shards=1) -> TieredDataStore:
     """Sealed segments + stats: every planner feature can engage."""
-    store = DataStore(metadata_extractor=MetadataExtractor(),
-                      segment_capacity=capacity)
+    store = TieredDataStore(metadata_extractor=MetadataExtractor(),
+                            policy=TierPolicy(memtable_records=capacity),
+                            n_shards=n_shards, window_s=WINDOW_S)
     store.ingest_packets(packets)
-    for segment in store.segments("packets"):
-        if not segment.sealed:
-            segment.seal()
+    store.seal_hot()
     store.build_stats()
     return store
 
 
-def _ids(records):
-    return [id(stored) for stored in records]
+def _linear(packets, query):
+    """The linear reference's answer over ``packets``, by value."""
+    oracle = reference_store(metadata_extractor=MetadataExtractor())
+    oracle.ingest_packets(packets)
+    return record_values(execute_query_linear(oracle, query))
 
 
 @settings(max_examples=120, deadline=None)
@@ -124,8 +128,7 @@ def _ids(records):
        query=query_strategy())
 def test_planned_execution_matches_linear_scan(packets, query):
     store = _planned_store(packets)
-    assert _ids(execute_query(store, query)) == \
-        _ids(execute_query_linear(store, query))
+    assert record_values(store.query(query)) == _linear(packets, query)
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,8 +137,7 @@ def test_planned_execution_matches_linear_scan(packets, query):
 def test_dict_encoded_segments_match_linear_scan(packets, query):
     """Unparseable IPs force DictColumn stats: same answers."""
     store = _planned_store(packets)
-    assert _ids(execute_query(store, query)) == \
-        _ids(execute_query_linear(store, query))
+    assert record_values(store.query(query)) == _linear(packets, query)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,14 +147,8 @@ def test_dict_encoded_segments_match_linear_scan(packets, query):
        query=query_strategy())
 def test_sharded_planned_execution_matches_serial(packets, n_shards,
                                                   query):
-    serial = _planned_store(packets, capacity=64)
-    sharded = ShardedDataStore(n_shards=n_shards,
-                               metadata_extractor=MetadataExtractor(),
-                               segment_capacity=64, window_s=WINDOW_S)
-    sharded.ingest_packets(list(packets))
-    sharded.build_stats()
-    assert [s.rid for s in sharded.query(query)] == \
-        [s.rid for s in execute_query_linear(serial, query)]
+    sharded = _planned_store(packets, capacity=64, n_shards=n_shards)
+    assert record_values(sharded.query(query)) == _linear(packets, query)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,14 +158,8 @@ def test_sharded_planned_execution_matches_serial(packets, n_shards,
        query=query_strategy(full_flow_key=True))
 def test_shard_pruned_execution_matches_serial(packets, n_shards, query):
     """Full-5-tuple queries (pre-scatter shard pruning) stay exact."""
-    serial = _planned_store(packets, capacity=64)
-    sharded = ShardedDataStore(n_shards=n_shards,
-                               metadata_extractor=MetadataExtractor(),
-                               segment_capacity=64, window_s=WINDOW_S)
-    sharded.ingest_packets(list(packets))
-    sharded.build_stats()
-    assert [s.rid for s in sharded.query(query)] == \
-        [s.rid for s in execute_query_linear(serial, query)]
+    sharded = _planned_store(packets, capacity=64, n_shards=n_shards)
+    assert record_values(sharded.query(query)) == _linear(packets, query)
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datastore import DataStore, Query
+from repro.datastore import TieredDataStore, TierPolicy, Query
 from repro.datastore.query import Aggregation
 from repro.netsim.packets import PacketRecord
 
@@ -20,7 +20,8 @@ def _packet(ts, src, dport, direction="in"):
 
 @pytest.fixture
 def store():
-    s = DataStore(segment_capacity=25)   # force multiple segments
+    # force multiple segments
+    s = TieredDataStore(policy=TierPolicy(memtable_records=25))
     packets = [
         _packet(float(i), src=f"9.9.9.{i % 5}", dport=4000 + (i % 3))
         for i in range(100)
@@ -83,7 +84,7 @@ def test_tag_filters():
     from repro.netsim.flows import Flow
     from repro.netsim.packets import FiveTuple
 
-    store = DataStore(metadata_extractor=MetadataExtractor())
+    store = TieredDataStore(metadata_extractor=MetadataExtractor())
     flow = Flow(flow_id=1, key=FiveTuple("a", "b", 1, 2, 17),
                 src_node="a", dst_node="b", size_bytes=10)
     pkt = _packet(0.0, "9.9.9.9", 53)
@@ -136,7 +137,7 @@ def test_aggregate_mean_and_bad_reducer(store):
     src_pick=st.integers(min_value=0, max_value=4),
 )
 def test_property_indexed_query_equals_linear_scan(data, lo, span, src_pick):
-    store = DataStore(segment_capacity=16)
+    store = TieredDataStore(policy=TierPolicy(memtable_records=16))
     packets = [_packet(ts, src=f"9.9.9.{s}", dport=4000 + p)
                for ts, s, p in data]
     store.ingest_packets(packets)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.datastore import DataStore, Query, RetentionPolicy
+from repro.datastore import Query, RetentionPolicy, TieredDataStore, \
+    TierPolicy
 from repro.netsim.packets import PacketRecord
 
 
@@ -16,7 +17,7 @@ def _packet(ts):
 
 
 def _filled_store(n=100, capacity=10):
-    store = DataStore(segment_capacity=capacity)
+    store = TieredDataStore(policy=TierPolicy(memtable_records=capacity))
     store.ingest_packets([_packet(float(i)) for i in range(n)])
     return store
 

@@ -1,11 +1,11 @@
-"""DataStore ingest, segments, transforms, summary."""
+"""Store ingest, segments, transforms, summary."""
 
 import pytest
 
 from repro.capture.flows import FlowRecord
 from repro.capture.metadata import MetadataExtractor
 from repro.capture.sensors import LogRecord
-from repro.datastore import DataStore, Query
+from repro.datastore import TieredDataStore, TierPolicy, Query
 from repro.netsim.packets import PacketRecord
 
 
@@ -25,7 +25,7 @@ def _flow(first=0.0, last=1.0):
 
 
 def test_ingest_counts_and_summary():
-    store = DataStore()
+    store = TieredDataStore()
     assert store.ingest_packets([_packet(float(i)) for i in range(10)]) == 10
     assert store.ingest_flows([_flow()]) == 1
     store.ingest_log(LogRecord(timestamp=5.0, source="s", kind="k",
@@ -40,7 +40,7 @@ def test_ingest_counts_and_summary():
 
 
 def test_segments_seal_at_capacity():
-    store = DataStore(segment_capacity=4)
+    store = TieredDataStore(policy=TierPolicy(memtable_records=4))
     store.ingest_packets([_packet(float(i)) for i in range(10)])
     segments = store.segments("packets")
     assert len(segments) == 3
@@ -49,14 +49,14 @@ def test_segments_seal_at_capacity():
 
 
 def test_metadata_attached_at_ingest():
-    store = DataStore(metadata_extractor=MetadataExtractor())
+    store = TieredDataStore(metadata_extractor=MetadataExtractor())
     store.ingest_packets([_packet(0.0)])
     stored = store.query(Query(collection="packets"))[0]
     assert stored.tags["service"] == "dns"
 
 
 def test_ingest_transform_rewrites():
-    store = DataStore()
+    store = TieredDataStore()
 
     def redact(collection, record, tags):
         record.src_ip = "0.0.0.0"
@@ -69,7 +69,7 @@ def test_ingest_transform_rewrites():
 
 
 def test_ingest_transform_drops():
-    store = DataStore()
+    store = TieredDataStore()
     store.add_ingest_transform(
         lambda c, r, t: (None, None) if c == "packets" else (r, t))
     assert store.ingest_packets([_packet(0.0)]) == 0
@@ -77,13 +77,13 @@ def test_ingest_transform_drops():
 
 
 def test_unknown_collection_raises():
-    store = DataStore()
+    store = TieredDataStore()
     with pytest.raises(KeyError):
         store.segments("nonexistent")
 
 
 def test_record_ids_unique_across_collections():
-    store = DataStore()
+    store = TieredDataStore()
     store.ingest_packets([_packet(0.0)])
     store.ingest_flows([_flow()])
     rid_a = store.query(Query(collection="packets"))[0].rid
@@ -92,5 +92,5 @@ def test_record_ids_unique_across_collections():
 
 
 def test_time_span_empty_collection():
-    store = DataStore()
+    store = TieredDataStore()
     assert store.time_span("logs") == (None, None)

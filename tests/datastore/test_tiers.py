@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from repro.chaos.resilience import VirtualClock
-from repro.datastore import DataStore, PersistenceError, Query
+from repro.datastore import PersistenceError, Query
 from repro.datastore.stats import SegmentStats
 from repro.datastore.tiers import (
     ColdSegment, IngestQueue, StreamingIngestor, TieredDataStore,
-    TieredShardedDataStore, TierPolicy, _stats_from_json, _stats_to_json,
+    TierPolicy, _stats_from_json, _stats_to_json,
 )
 from repro.netsim.packets import PacketRecord
+
+from tests.datastore.reference import (
+    execute_query_linear, record_values, reference_store,
+)
 
 
 def _packet(ts, i=0, proto=6, src="10.0.0.1"):
@@ -30,13 +34,12 @@ def _batch(n, t0=0.0, step=0.01):
 
 def _dump(store):
     """Every stored packet, by value, in (time, rid) order."""
-    result = store.query(Query(collection="packets"))
-    return [(s.rid, s.record.timestamp, s.record.src_ip, s.record.dst_ip,
-             s.record.src_port, s.record.dst_port, s.record.protocol,
-             s.record.size, s.record.payload_len, s.record.flags,
-             s.record.ttl, bytes(s.record.payload), s.record.flow_id,
-             s.record.app, s.record.label, s.record.direction,
-             dict(s.tags), s.label) for s in result]
+    return record_values(store.query(Query(collection="packets")))
+
+
+def _linear(oracle, query=Query(collection="packets")):
+    """The linear reference's answer, by value."""
+    return record_values(execute_query_linear(oracle, query))
 
 
 SMALL = TierPolicy(memtable_records=16, warm_fanin=2,
@@ -98,18 +101,18 @@ def test_age_based_seal_uses_injected_clock():
 
 def test_query_unaffected_by_seal_and_compaction():
     store = TieredDataStore(policy=SMALL)
-    flat = DataStore()
+    oracle = reference_store()
     for b in (_batch(30, 0.0), _batch(30, 5.0), _batch(30, 2.5)):
         store.ingest_packets(b)
-        flat.ingest_packets(b)
+        oracle.ingest_packets(b)
     q = Query(collection="packets", where={"protocol": 6},
               time_range=(1.0, 6.0))
     before = _dump(store)
-    assert before == _dump(flat)
+    assert before == _linear(oracle)
     store.seal_hot()
     store.compactor.run()
     assert _dump(store) == before
-    assert [s.rid for s in store.query(q)] == [s.rid for s in flat.query(q)]
+    assert record_values(store.query(q)) == _linear(oracle, q)
 
 
 # -- cold format ------------------------------------------------------------
@@ -194,7 +197,7 @@ def test_reopen_resumes_id_counters(tmp_path):
 
 
 def test_stats_json_round_trip():
-    store = DataStore(segment_capacity=32)
+    store = TieredDataStore(policy=TierPolicy(memtable_records=32))
     store.ingest_packets(_batch(30))
     segment = store.segments("packets")[0]
     stats = segment.build_stats()
@@ -216,9 +219,9 @@ def test_stats_json_round_trip():
 
 
 def test_cold_stats_survive_spill_and_prune(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold",
-                            stats_on_seal=True)
+    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(40))
+    store.build_stats()
     store.flush_to_cold()
     reopened = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
     _, _, cold = reopened.tier_segments()
@@ -274,9 +277,10 @@ def test_cold_merge_combines_segments(tmp_path):
 
 
 def test_warm_merge_reuses_stats_blocks():
-    store = TieredDataStore(policy=SMALL, stats_on_seal=True)
+    store = TieredDataStore(policy=SMALL)
     store.ingest_packets(_batch(32))
     store.seal_hot()
+    store.build_stats()
     _, warm, _ = store.tier_segments()
     assert all(s.stats() is not None for s in warm)
     store.compactor.run()
@@ -362,22 +366,54 @@ def test_streaming_ingestor_end_to_end(tmp_path):
 # -- sharded ----------------------------------------------------------------
 
 def test_sharded_tiered_store_matches_flat(tmp_path):
-    flat = DataStore()
-    store = TieredShardedDataStore(n_shards=4, policy=SMALL,
-                                   spill_dir=tmp_path / "shards")
+    oracle = reference_store()
+    store = TieredDataStore(n_shards=4, policy=SMALL,
+                            spill_dir=tmp_path / "shards")
     for b in (_batch(40, 0.0), _batch(40, 5.0)):
-        flat.ingest_packets(b)
+        oracle.ingest_packets(b)
         store.ingest_packets(b)
     store.seal_hot()
     store.compactor.run()
     store.flush_to_cold()
-    assert _dump(store) == _dump(flat)
-    reopened = TieredShardedDataStore(n_shards=4, policy=SMALL,
-                                      spill_dir=tmp_path / "shards")
-    assert _dump(reopened) == _dump(flat)
+    assert _dump(store) == _linear(oracle)
+    # one ladder per shard, each spilling under its own directory
+    assert sorted(p.name for p in (tmp_path / "shards").iterdir()) == \
+        [f"shard-{i}" for i in range(4)]
+    reopened = TieredDataStore(n_shards=4, policy=SMALL,
+                               spill_dir=tmp_path / "shards")
+    assert _dump(reopened) == _linear(oracle)
     reopened.ingest_packets(_batch(10, t0=20.0))
     rids = [r[0] for r in _dump(reopened)]
     assert len(rids) == len(set(rids))
+
+
+@pytest.mark.parametrize("written, reopened", [(4, 1), (1, 4), (4, 2)])
+def test_reopen_with_another_shard_count_is_refused(tmp_path, written,
+                                                    reopened):
+    spill = tmp_path / "cold"
+    store = TieredDataStore(n_shards=written, policy=SMALL, spill_dir=spill)
+    store.ingest_packets(_batch(40))
+    store.flush_to_cold()
+    before = sorted(p.relative_to(spill) for p in spill.rglob("*"))
+    with pytest.raises(PersistenceError, match="shard"):
+        TieredDataStore(n_shards=reopened, policy=SMALL, spill_dir=spill)
+    # nothing was cleared as debris
+    assert sorted(p.relative_to(spill) for p in spill.rglob("*")) == before
+    reopened_store = TieredDataStore(n_shards=written, policy=SMALL,
+                                     spill_dir=spill)
+    assert _dump(reopened_store) == _dump(store)
+
+
+def test_single_shard_ingest_never_routes(monkeypatch):
+    from repro.parallel.sharding import ShardRouter
+
+    def refuse(self, cols):
+        raise AssertionError("a one-shard store routed a batch")
+
+    monkeypatch.setattr(ShardRouter, "assign_columns", refuse)
+    store = TieredDataStore(policy=SMALL)
+    store.ingest_packets(_batch(40))
+    assert store.count("packets") == 40
 
 
 def test_tier_summary_shape(tmp_path):

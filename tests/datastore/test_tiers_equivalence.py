@@ -2,10 +2,11 @@
 
 For any random interleaving of ingest / seal / compactor-step / query
 — including queries issued *between* the steps of an in-flight
-compaction — a tiered store (any shard count 1–8, spilling to disk or
-not) must answer bit-identically to a flat :class:`DataStore` fed the
-same batches.  Timestamps are drawn with window-boundary values
-over-represented so shard-routing edge cases get exercised.
+compaction — a store (any shard count 1–8, spilling to disk or not)
+must answer bit-identically to the linear reference run over the same
+batches held unsealed in input order.  Timestamps are drawn with
+window-boundary values over-represented so shard-routing edge cases
+get exercised.
 """
 
 import shutil
@@ -14,11 +15,13 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore
-from repro.datastore.tiers import (
-    TieredDataStore, TieredShardedDataStore, TierPolicy,
-)
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.netsim.packets import PacketRecord
+
+from tests.datastore.reference import (
+    execute_query_linear, heavy_hitters_linear, record_values,
+    reference_store, tally_linear,
+)
 
 WINDOW_S = 5.0
 #: exact shard-window boundaries (and near-misses) show up often.
@@ -67,16 +70,6 @@ QUERIES = [
 ]
 
 
-def _values(result):
-    """StoredRecords by value (cold-tier rows are rebuilt objects)."""
-    return [(s.rid, s.record.timestamp, s.record.src_ip, s.record.dst_ip,
-             s.record.src_port, s.record.dst_port, s.record.protocol,
-             s.record.size, s.record.payload_len, s.record.flags,
-             s.record.ttl, bytes(s.record.payload), s.record.flow_id,
-             s.record.app, s.record.label, s.record.direction,
-             dict(s.tags), s.label) for s in result]
-
-
 def _aggregates(store, query):
     """Exact aggregate answers as (value, bound, source)."""
     answers = [store.count_matching(query)]
@@ -86,9 +79,20 @@ def _aggregates(store, query):
     return [(a.value, a.bound, a.source) for a in answers]
 
 
-def _assert_identical(tiered, flat, query):
-    assert _values(tiered.query(query)) == _values(flat.query(query))
-    assert _aggregates(tiered, query) == _aggregates(flat, query)
+def _linear_aggregates(oracle, query):
+    """The same aggregates, folded from the linear answer."""
+    answers = [(len(execute_query_linear(oracle, query)), 0, "exact")]
+    for fld in ("src_ip", "dst_port"):
+        answers.append((len(tally_linear(oracle, query, fld)), 0, "exact"))
+        answers.append(
+            (heavy_hitters_linear(oracle, query, fld, 3), 0, "exact"))
+    return answers
+
+
+def _assert_identical(tiered, oracle, query):
+    assert record_values(tiered.query(query)) == \
+        record_values(execute_query_linear(oracle, query))
+    assert _aggregates(tiered, query) == _linear_aggregates(oracle, query)
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,16 +110,12 @@ def test_interleaved_lifecycle_matches_flat_store(batches, n_shards,
                         warm_max_segments=2, cold_fanin=2)
     tmp = tempfile.mkdtemp(prefix="tiers-eq-") if spill else None
     try:
-        if n_shards == 1:
-            tiered = TieredDataStore(policy=policy, spill_dir=tmp)
-        else:
-            tiered = TieredShardedDataStore(
-                n_shards=n_shards, policy=policy, spill_dir=tmp,
-                window_s=WINDOW_S)
-        flat = DataStore()
+        tiered = TieredDataStore(policy=policy, spill_dir=tmp,
+                                 n_shards=n_shards, window_s=WINDOW_S)
+        oracle = reference_store()
         for batch in batches:
             tiered.ingest_packets(batch)
-            flat.ingest_packets(batch)
+            oracle.ingest_packets(batch)
             op = data.draw(st.sampled_from(
                 ["none", "seal", "step", "query"]))
             if op == "seal":
@@ -125,17 +125,17 @@ def test_interleaved_lifecycle_matches_flat_store(batches, n_shards,
                 tiered.compactor.step()
             elif op == "query":
                 _assert_identical(
-                    tiered, flat, data.draw(st.sampled_from(QUERIES)))
+                    tiered, oracle, data.draw(st.sampled_from(QUERIES)))
         # drive the compactor to debt-free, querying between EVERY step:
         # a query racing an in-flight compaction must see nothing.
         tiered.seal_hot()
         for _ in range(64):
             _assert_identical(
-                tiered, flat, data.draw(st.sampled_from(QUERIES)))
+                tiered, oracle, data.draw(st.sampled_from(QUERIES)))
             if tiered.compactor.step() is None:
                 break
         for query in QUERIES:
-            _assert_identical(tiered, flat, query)
+            _assert_identical(tiered, oracle, query)
     finally:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -154,23 +154,20 @@ def test_flush_reopen_matches_flat_store(batches, n_shards):
     tmp = tempfile.mkdtemp(prefix="tiers-re-")
     try:
         def build():
-            if n_shards == 1:
-                return TieredDataStore(policy=policy, spill_dir=tmp)
-            return TieredShardedDataStore(
-                n_shards=n_shards, policy=policy, spill_dir=tmp,
-                window_s=WINDOW_S)
+            return TieredDataStore(policy=policy, spill_dir=tmp,
+                                   n_shards=n_shards, window_s=WINDOW_S)
 
         tiered = build()
-        flat = DataStore()
+        oracle = reference_store()
         for batch in batches:
             tiered.ingest_packets(batch)
-            flat.ingest_packets(batch)
+            oracle.ingest_packets(batch)
         tiered.flush_to_cold()
         tiered.compactor.run()
         for query in QUERIES:
-            _assert_identical(tiered, flat, query)
+            _assert_identical(tiered, oracle, query)
         reopened = build()
         for query in QUERIES:
-            _assert_identical(reopened, flat, query)
+            _assert_identical(reopened, oracle, query)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.datastore.store import StoredRecord
+from repro.datastore.segments import StoredRecord
 from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.netsim.packets import PacketRecord
 

@@ -54,9 +54,9 @@ def test_benign_votes_ignored():
 
 
 def test_from_store_uses_curated_labels():
-    from repro.datastore import DataStore, Query
+    from repro.datastore import TieredDataStore, Query
 
-    store = DataStore()
+    store = TieredDataStore()
     store.ingest_packets([_packet(float(i) * 0.5, label="benign")
                           for i in range(6)])
     store.ingest_packets([_packet(float(i) * 0.5, src="8.8.8.8",

@@ -129,8 +129,8 @@ class TestColumnarFromStore:
     """from_store's vectorized path vs the record-at-a-time reference."""
 
     def _store(self, packets):
-        from repro.datastore.store import DataStore
-        store = DataStore(segment_capacity=5)
+        from repro.datastore.tiers import TieredDataStore, TierPolicy
+        store = TieredDataStore(policy=TierPolicy(memtable_records=5))
         store.ingest_packets(packets)
         return store
 

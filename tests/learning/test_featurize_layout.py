@@ -3,11 +3,11 @@
 Compaction re-sorts warm and cold segments by time, sharding spreads
 rows over several segment lists, and a parallel executor reduces
 segments in worker processes.  None of that may change the featurized
-``Dataset``: a tiered store must featurize exactly like a flat
-:class:`DataStore` fed the same batches, and exactly like the
-record-at-a-time reference — the same keys, vectors and labels, and the
-same label-vote insertion order (which decides ``max()`` ties when
-labels come from curated votes).
+``Dataset``: a compacted, sharded or spilled store must featurize
+exactly like a flat store holding the same batches unsealed in input
+order, and exactly like the record-at-a-time reference — the same
+keys, vectors and labels, and the same label-vote insertion order
+(which decides ``max()`` ties when labels come from curated votes).
 """
 
 import shutil
@@ -19,15 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
-from repro.datastore.store import DataStore
-from repro.datastore.tiers import (
-    TieredDataStore, TieredShardedDataStore, TierPolicy,
-)
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketRecord
 from repro.parallel import ParallelExecutor, shm_available
 
 from tests.datastore.curate import label_by_rid
+from tests.datastore.reference import reference_store
 
 WINDOW_S = 5.0
 BOUNDARY_TIMES = [0.0, 5.0, 10.0, 15.0, 4.999999, 5.000001, 9.999999]
@@ -122,14 +120,10 @@ def test_tiered_store_featurizes_like_flat_store(batches, n_shards, memtable,
     extractor = MetadataExtractor if tagged else (lambda: None)
     tmp = tempfile.mkdtemp(prefix="featurize-layout-") if to_cold else None
     try:
-        if n_shards == 1:
-            tiered = TieredDataStore(metadata_extractor=extractor(),
-                                     policy=policy, spill_dir=tmp)
-        else:
-            tiered = TieredShardedDataStore(
-                n_shards=n_shards, metadata_extractor=extractor(),
-                policy=policy, spill_dir=tmp, window_s=WINDOW_S)
-        flat = DataStore(metadata_extractor=extractor())
+        tiered = TieredDataStore(
+            n_shards=n_shards, metadata_extractor=extractor(),
+            policy=policy, spill_dir=tmp, window_s=WINDOW_S)
+        flat = reference_store(metadata_extractor=extractor())
         for batch in batches:
             tiered.ingest_packets(batch)
             flat.ingest_packets(batch)
@@ -182,7 +176,7 @@ def test_worker_processes_featurize_compacted_store_like_flat_store(
                         warm_max_segments=2, cold_fanin=2)
     tiered = TieredDataStore(metadata_extractor=MetadataExtractor(),
                              policy=policy, spill_dir=tmp_path)
-    flat = DataStore(metadata_extractor=MetadataExtractor())
+    flat = reference_store(metadata_extractor=MetadataExtractor())
     for lo in range(0, len(packets), 250):
         batch = packets[lo:lo + 250]
         tiered.ingest_packets(batch)

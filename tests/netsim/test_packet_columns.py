@@ -1,7 +1,11 @@
 """Columnar packet batches: encoding, lazy materialization, filters."""
 
+import socket
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netsim.packets import (
     DictColumn,
@@ -27,6 +31,13 @@ class TestIpCodec:
     def test_roundtrip(self):
         for ip in ("0.0.0.0", "255.255.255.255", "10.0.0.1", "192.168.1.9"):
             assert u32_to_ip(ip_to_u32(ip)) == ip
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(value=0)
+    @example(value=2 ** 32 - 1)
+    def test_u32_to_ip_matches_inet_ntoa(self, value):
+        assert u32_to_ip(value) == socket.inet_ntoa(struct.pack("!I", value))
 
     def test_rejects_non_canonical(self):
         for bad in ("10.0.0", "10.0.0.0.1", "10.0.0.256", "09.9.9.1",

@@ -12,10 +12,12 @@ import pytest
 from repro.chaos.faults import FaultKind, FaultPlan, FaultSpec
 from repro.chaos.resilience import DegradationLedger
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.tiers import TieredDataStore
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketColumns, PacketRecord
 from repro.parallel import ParallelExecutor, shm_available
+
+from tests.datastore.reference import execute_query_linear, reference_store
 
 pytestmark = pytest.mark.skipif(not shm_available(),
                                 reason="needs shared memory")
@@ -41,17 +43,18 @@ def _crash_executor(ledger):
 
 def test_crash_mid_query_degrades_to_serial_with_same_answers():
     packets = _packets()
-    serial = DataStore()
+    serial = reference_store()
     serial.ingest_packets(list(packets))
 
     ledger = DegradationLedger()
     with _crash_executor(ledger) as ex:
-        sharded = ShardedDataStore(n_shards=4, executor=ex)
+        sharded = TieredDataStore(n_shards=4, executor=ex)
         sharded.ingest_packets(PacketColumns.from_records(list(packets)))
         query = Query(collection="packets", where={"dst_port": 53},
                       order_by_time=True)
         got = [(s.rid, s.record) for s in sharded.query(query)]
-        want = [(s.rid, s.record) for s in serial.query(query)]
+        want = [(s.rid, s.record)
+                for s in execute_query_linear(serial, query)]
 
     assert got == want
     assert ledger.degraded("parallel")
@@ -62,7 +65,7 @@ def test_crash_mid_query_degrades_to_serial_with_same_answers():
 
 def test_crash_mid_featurize_degrades_to_serial_with_same_dataset():
     packets = _packets()
-    serial = DataStore()
+    serial = reference_store()
     serial.ingest_packets(list(packets))
     featurizer = SourceWindowFeaturizer(
         FeatureConfig(window_s=5.0, min_packets=1))
@@ -70,7 +73,7 @@ def test_crash_mid_featurize_degrades_to_serial_with_same_dataset():
 
     ledger = DegradationLedger()
     with _crash_executor(ledger) as ex:
-        sharded = ShardedDataStore(n_shards=4, executor=ex)
+        sharded = TieredDataStore(n_shards=4, executor=ex)
         sharded.ingest_packets(PacketColumns.from_records(list(packets)))
         got = featurizer.from_store(sharded, executor=ex)
 
@@ -85,7 +88,7 @@ def test_crash_replay_is_deterministic():
     def run():
         ledger = DegradationLedger()
         with _crash_executor(ledger) as ex:
-            sharded = ShardedDataStore(n_shards=2, executor=ex)
+            sharded = TieredDataStore(n_shards=2, executor=ex)
             sharded.ingest_packets(
                 PacketColumns.from_records(_packets(800)))
             sharded.query(Query(collection="packets", order_by_time=True))

@@ -3,7 +3,8 @@
 The substrate's contract: for any shard count and worker count, ingest
 order (record ids), query results (records *and* their order), and
 featurized datasets are exactly what the serial, unsharded pipeline
-produces.  Worker-process equivalence runs on fixed seeds (forking
+produces: the linear reference over the same batches held unsealed in
+input order.  Worker-process equivalence runs on fixed seeds (forking
 inside hypothesis would be slow); the sharding logic itself is
 property-tested across adversarial window boundaries.
 """
@@ -14,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketColumns, PacketRecord
 from repro.parallel import ParallelExecutor, shm_available
+
+from tests.datastore.reference import execute_query_linear, reference_store
 
 WINDOW_S = 5.0
 IPS = ["10.0.0.1", "10.0.0.2", "9.9.0.7", "192.168.1.20", "10.0.0"]
@@ -55,24 +58,29 @@ def packet_strategy():
 
 
 def _serial_store(packets):
-    store = DataStore(metadata_extractor=MetadataExtractor(),
-                      segment_capacity=64)
+    store = reference_store(metadata_extractor=MetadataExtractor())
     store.ingest_packets(list(packets))
     return store
 
+
 def _sharded_store(packets, n_shards, columnar, executor=None):
-    store = ShardedDataStore(n_shards=n_shards,
-                             metadata_extractor=MetadataExtractor(),
-                             segment_capacity=64, window_s=WINDOW_S,
-                             executor=executor)
+    store = TieredDataStore(n_shards=n_shards,
+                            metadata_extractor=MetadataExtractor(),
+                            policy=TierPolicy(memtable_records=64),
+                            window_s=WINDOW_S, executor=executor)
     batch = PacketColumns.from_records(list(packets)) if columnar \
         else list(packets)
     store.ingest_packets(batch)
     return store
 
 
-def _snapshot(store, query):
-    return [(s.rid, s.record, s.tags) for s in store.query(query)]
+def _snapshot(records):
+    return [(s.rid, s.record, s.tags) for s in records]
+
+
+def _assert_matches_serial(sharded, serial, query):
+    assert _snapshot(sharded.query(query)) == \
+        _snapshot(execute_query_linear(serial, query))
 
 
 QUERIES = [
@@ -99,7 +107,7 @@ def test_sharded_store_matches_serial(packets, n_shards, columnar):
     sharded = _sharded_store(packets, n_shards, columnar)
     assert sharded.count("packets") == serial.count("packets")
     for query in QUERIES:
-        assert _snapshot(sharded, query) == _snapshot(serial, query)
+        _assert_matches_serial(sharded, serial, query)
 
 
 @settings(max_examples=10, deadline=None)
@@ -143,7 +151,7 @@ def test_worker_processes_match_serial_end_to_end():
     with ParallelExecutor(workers=2) as ex:
         sharded = _sharded_store(packets, 4, columnar=True, executor=ex)
         for query in QUERIES:
-            assert _snapshot(sharded, query) == _snapshot(serial, query)
+            _assert_matches_serial(sharded, serial, query)
         parallel_ds = featurizer.from_store(sharded, executor=ex)
         assert ex.tasks_in_workers > 0
         assert ex.summary()["pool_failures"] == 0
@@ -166,5 +174,5 @@ def test_workers_zero_falls_back_to_serial_paths():
     ex = ParallelExecutor(workers=0)
     sharded = _sharded_store(packets, 4, columnar=True, executor=ex)
     for query in QUERIES:
-        assert _snapshot(sharded, query) == _snapshot(serial, query)
+        _assert_matches_serial(sharded, serial, query)
     assert ex.tasks_in_workers == 0

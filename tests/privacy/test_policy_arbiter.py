@@ -3,7 +3,7 @@
 import pytest
 
 from repro.capture.sensors import LogRecord
-from repro.datastore import DataStore, Query
+from repro.datastore import TieredDataStore, Query
 from repro.datastore.query import Aggregation
 from repro.netsim.packets import PacketRecord
 from repro.privacy import (
@@ -28,7 +28,7 @@ def _packet(ts=0.0, src="10.1.0.10", dst="8.8.8.8",
 
 def _store_with(level):
     policy = PrivacyPolicy.preset(level)
-    store = DataStore()
+    store = TieredDataStore()
     store.add_ingest_transform(make_ingest_transform(
         policy, lambda ip: ip.startswith("10.")))
     return store, policy
@@ -64,7 +64,7 @@ class TestPolicyPresets:
 
     def test_stripped_removes_payload_and_sensitive_tags(self):
         policy = PrivacyPolicy.preset(PrivacyLevel.PAYLOAD_STRIPPED)
-        store = DataStore()
+        store = TieredDataStore()
         store.add_ingest_transform(make_ingest_transform(
             policy, lambda ip: ip.startswith("10.")))
         transform_input_tags = {"service": "https",
@@ -93,7 +93,7 @@ class TestPolicyPresets:
 class TestArbiter:
     @pytest.fixture
     def arbiter(self):
-        store = DataStore()
+        store = TieredDataStore()
         store.ingest_packets([_packet(ts=float(i)) for i in range(10)])
         return AccessArbiter(store, now_fn=lambda: 10.0)
 

@@ -207,10 +207,10 @@ class TestQueryInternals:
 
     def test_public_query_api_is_clean(self):
         findings = _lint("""
-            from repro.datastore.query import execute_query
+            from repro.datastore.planner import plan_query
 
             def fetch(store, query):
-                return execute_query(store, query)
+                return store.query(query), plan_query(store, query)
         """, rel_path="analysis/mod.py")
         assert findings == []
 
@@ -285,8 +285,7 @@ class TestSegmentMutation:
                 self._segments["packets"].append(insert)
                 self.segments("packets").remove(remove)
         """
-        for rel_path in ("datastore/store.py", "datastore/tiers.py"):
-            assert _lint(source, rel_path=rel_path) == []
+        assert _lint(source, rel_path="datastore/tiers.py") == []
 
     def test_scope_configurable_from_pyproject_key(self):
         config = LintConfig(segment_mutation_scope=["analysis"])
