@@ -8,7 +8,9 @@ it was built to escape.  Each scale gets a *paired* suite — the same
 simulated duration through both engines with a border packet observer
 attached — so ``BENCH_substrate.json`` records the comparison, and
 ``test_perf_netsim_fluid_speedup_10k`` turns the required ratio into a
-hard assertion.
+hard assertion.  ``test_perf_netsim_fluid_setup_1m`` times the one
+set-up cost every fluid campus pays before its first tick: drawing and
+binning a million users into cohorts.
 
 The discrete engine at 10k users costs ~10s of wall time per simulated
 second (the cost being replaced), so its 10k entry is a single
@@ -19,7 +21,10 @@ they claim.
 
 import time
 
+import numpy as np
+
 from repro.netsim.campus import make_fluid_campus
+from repro.netsim.cohorts import build_cohorts
 from repro.netsim.network import CampusNetwork
 from repro.netsim.topology import TopologySpec, build_campus_topology
 
@@ -123,6 +128,12 @@ def test_perf_netsim_fluid_10k(benchmark):
 
     benchmark(advance)
     assert count[0] > 0
+
+
+def test_perf_netsim_fluid_setup_1m(benchmark):
+    table = benchmark(
+        lambda: build_cohorts(1_000_000, 32, np.random.default_rng(1)))
+    assert table.n_users == 1_000_000 and table.n_cohorts == 32
 
 
 def test_perf_netsim_fluid_speedup_10k():

@@ -167,9 +167,10 @@ class PacketSegment(SegmentBase):
     consume (``records``, ``stored_at()``, ``columns()``, ``stats()``,
     ``min_time``/``max_time``/``overlaps``, ``schema``,
     ``segment_id``), plus the annotation columns featurize and spill
-    read without building rows: ``rids``, :meth:`tag_column` and
-    :meth:`label_column`.  Appends queue as parts and are concatenated
-    on the first read after them.  A packet segment seals only through
+    read without building rows: ``rids``, :meth:`tag_column`,
+    :meth:`label_column`, and :meth:`annotation_columns` for both at
+    once (the one form a cold segment offers).  Appends queue as parts
+    and are concatenated on the first read after them.  A packet segment seals only through
     :meth:`merged`, so every sealed one is ``(time, rid)``-sorted.
     """
 
@@ -347,6 +348,13 @@ class PacketSegment(SegmentBase):
         no label."""
         self._consolidate()
         return self._label_codes, self.label_values
+
+    def annotation_columns(self) -> Tuple[
+            Tuple[np.ndarray, List[Dict[str, str]]],
+            Tuple[np.ndarray, List[str]]]:
+        """((tag codes, tag sets), (label codes, label values)):
+        :meth:`tag_column` and :meth:`label_column` in one call."""
+        return self.tag_column(), self.label_column()
 
     # -- rows --------------------------------------------------------------
 

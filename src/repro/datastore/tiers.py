@@ -357,8 +357,8 @@ def _sorted_cold_rows(segment: PacketSegment) \
     segment).  Each distinct (tag set, label) pair is encoded once."""
     cols = segment.columns()
     rids = segment.rids
-    tag_codes, tag_sets = segment.tag_column()
-    label_codes, values = segment.label_column()
+    (tag_codes, tag_sets), (label_codes, values) = \
+        segment.annotation_columns()
     pairs, rows = np.unique(tag_codes * (len(values) + 1) + label_codes + 1,
                             return_inverse=True)
     labels = [None] + values
@@ -465,31 +465,24 @@ class ColdSegment(SegmentBase):
                 for rid, packet, meta in zip(self.rids[positions].tolist(),
                                              packets, map(parsed.get, metas))]
 
-    def _meta_column(self) -> Tuple[np.ndarray, List[Dict]]:
-        """(per-row codes, distinct parsed meta rows) from one pass over
-        the meta blob, building no row (and keeping nothing: the codes
-        are as long as the segment)."""
+    def annotation_columns(self) -> Tuple[Tuple[np.ndarray, List[Dict]],
+                                          Tuple[np.ndarray, List[str]]]:
+        """((tag codes, tag sets), (label codes, label values)), as
+        :meth:`PacketSegment.annotation_columns`, from one pass over the
+        meta blob, building no row (and keeping nothing: the codes are
+        as long as the segment)."""
         code_of: Dict[bytes, int] = {}
         codes = np.fromiter(
             (code_of.setdefault(row, len(code_of)) for row in
              self.meta_blob.rows(np.arange(self.n, dtype=np.int64))),
             dtype=np.int64, count=self.n)
-        return codes, json.loads(b"[" + b",".join(code_of) + b"]")
-
-    def tag_column(self) -> Tuple[np.ndarray, List[Dict[str, str]]]:
-        """(per-row codes, tag sets), as :meth:`PacketSegment.tag_column`."""
-        codes, metas = self._meta_column()
-        return codes, [meta["t"] or {} for meta in metas]
-
-    def label_column(self) -> Tuple[np.ndarray, List[str]]:
-        """(per-row codes, values) of the curated labels; code -1 is no
-        label."""
-        codes, metas = self._meta_column()
-        code_of: Dict[str, int] = {}
+        metas = json.loads(b"[" + b",".join(code_of) + b"]")
+        label_of: Dict[str, int] = {}
         remap = np.array([-1 if meta["l"] is None
-                          else code_of.setdefault(meta["l"], len(code_of))
+                          else label_of.setdefault(meta["l"], len(label_of))
                           for meta in metas] + [-1], dtype=np.int64)
-        return remap[codes], list(code_of)
+        return ((codes, [meta["t"] or {} for meta in metas]),
+                (remap[codes], list(label_of)))
 
     def set_labels(self, positions, labels) -> None:
         """Cold rows are immutable: a label write raises instead of

@@ -415,25 +415,25 @@ class SourceWindowFeaturizer:
         resp = np.zeros(n, dtype=bool)
         anyq = np.zeros(n, dtype=bool)
         tagged = np.zeros(n, dtype=bool)
+        (tag_codes, tag_sets), (label_codes, values) = \
+            segment.annotation_columns()
         if self.config.use_payload_features:
-            codes, tag_sets = segment.tag_column()
             dns = (cols.src_port == 53.0) | (cols.dst_port == 53.0)
             tagged = dns & np.array([bool(t) for t in tag_sets],
-                                    dtype=bool)[codes]
+                                    dtype=bool)[tag_codes]
             resp = dns & np.array(
                 [t.get("dns_qr") == "response" for t in tag_sets],
-                dtype=bool)[codes]
+                dtype=bool)[tag_codes]
             anyq = dns & np.array(
                 [t.get("dns_qtype") == "ANY" for t in tag_sets],
-                dtype=bool)[codes]
+                dtype=bool)[tag_codes]
         rids = np.asarray(segment.rids, dtype=np.uint64)
-        codes, values = segment.label_column()
         curated_codes = None
         curated_values: List[str] = []
         if any(values):
             # an empty curated label defers to the packet's own label
             voting = np.array([bool(v) for v in values] + [False])
-            curated_codes = np.where(voting[codes], codes, -1)
+            curated_codes = np.where(voting[label_codes], label_codes, -1)
             curated_values = list(values)
         return (rids, resp, anyq, tagged, curated_codes, curated_values)
 

@@ -71,16 +71,27 @@ def cohorts_from_activities(activities: np.ndarray,
     """
     if n_cohorts <= 0:
         raise ValueError("need at least one cohort")
-    ordered = np.sort(np.asarray(activities, dtype=np.float64),
-                      kind="stable")
+    # ``ordered`` is read only through bin sums, so the sort need not
+    # be stable: equal floats are bitwise equal, and +0.0 and -0.0 add
+    # alike to a running sum that starts at +0.0 (``+ 0.0`` below turns
+    # cumsum's ``a[0] + ...`` into ``0.0 + a[0] + ...``).  NaNs sort
+    # last in every kind, but the SIMD sorts rewrite them as the
+    # canonical NaN, so the tail gets the input's NaNs back in input
+    # order.  The table is byte-identical to a stable sort's.
+    values = np.asarray(activities, dtype=np.float64)
+    ordered = np.sort(values)
     n_users = len(ordered)
     if n_users == 0:
         raise ValueError("cohorts need at least one user")
+    if np.isnan(ordered[-1]):
+        nans = np.isnan(values)
+        ordered[n_users - int(nans.sum()):] = values[nans]
     bounds = np.linspace(0, n_users, min(n_cohorts, n_users) + 1)
     bounds = bounds.astype(np.int64)
     counts = np.diff(bounds)
-    prefix = np.concatenate(([0.0], np.cumsum(ordered)))
-    sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    prefix = np.zeros(n_users + 1)
+    np.cumsum(ordered, out=prefix[1:])
+    sums = np.diff(prefix[bounds] + 0.0)
     keep = counts > 0
     counts = counts[keep]
     return CohortTable(counts=counts, activity=sums[keep] / counts,

@@ -198,3 +198,52 @@ def test_worker_processes_featurize_compacted_store_like_flat_store(
         _assert_featurizes_like_flat(featurizer, tiered, flat, executor=ex)
         assert ex.tasks_in_workers > 0
         assert ex.summary()["pool_failures"] == 0
+
+
+def test_cold_segment_meta_decoded_once_per_featurize(tmp_path, monkeypatch):
+    """Tags and curated labels of a cold segment come from one pass over
+    its meta blob, and the featurized Dataset is the flat store's."""
+    rng = np.random.default_rng(5)
+    packets = [PacketRecord(
+        timestamp=float(rng.uniform(0.0, 20.0)),
+        src_ip=IPS[int(rng.integers(len(IPS)))],
+        dst_ip=IPS[int(rng.integers(len(IPS)))],
+        src_port=53, dst_port=int(PORTS[int(rng.integers(len(PORTS)))]),
+        protocol=17, size=int(rng.integers(40, 1500)), payload_len=0,
+        flags=0, ttl=60, payload=PAYLOADS[int(rng.integers(len(PAYLOADS)))],
+        flow_id=int(i % 5), app="dns",
+        label=LABELS[int(rng.integers(len(LABELS)))], direction="in",
+    ) for i in range(400)]
+    tiered = TieredDataStore(
+        metadata_extractor=MetadataExtractor(), spill_dir=tmp_path,
+        policy=TierPolicy(memtable_records=100, warm_fanin=2,
+                          warm_max_segments=1, cold_fanin=2))
+    flat = reference_store(metadata_extractor=MetadataExtractor())
+    for lo in range(0, len(packets), 100):
+        batch = packets[lo:lo + 100]
+        tiered.ingest_packets(batch)
+        flat.ingest_packets(batch)
+        curated = [CURATED[int(k)] for k in
+                   rng.integers(0, len(CURATED), len(batch))]
+        _curate(tiered, curated)
+        _curate(flat, curated)
+    tiered.flush_to_cold()
+    tiered.compactor.run()
+    hot, warm, cold = tiered.tier_segments()
+    assert cold and not hot and not warm
+
+    from repro.datastore import tiers
+    reads = []
+    full_rows = tiers._BlobColumn.rows
+
+    def counted(blob, positions):
+        reads.append(id(blob))
+        return full_rows(blob, positions)
+
+    monkeypatch.setattr(tiers._BlobColumn, "rows", counted)
+    featurizer = SourceWindowFeaturizer(FeatureConfig(window_s=WINDOW_S))
+    _assert_featurizes_like_flat(featurizer, tiered, flat)
+    metas = [id(segment.meta_blob) for segment in cold]
+    reads.clear()
+    assert featurizer.examples_merged(tiered) is not None
+    assert sorted(r for r in reads if r in metas) == sorted(metas)

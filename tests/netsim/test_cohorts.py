@@ -7,6 +7,8 @@ draw and any cohort count.  Property-tested here, against both the raw
 activity sum and the discrete :class:`UserPopulation`'s per-user rate.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,3 +110,76 @@ def test_cohort_table_shape():
     assert table.n_cohorts == 16
     assert table.counts.sum() == 1000
     assert (table.activity > 0).all()
+
+
+def _stable_reference(activities, n_cohorts):
+    """Equal-count binning as specified: a stable sort, then each bin's
+    sum read off a running sum that starts at +0.0.
+
+    The sums use numpy array arithmetic, as the code under test does:
+    IEEE 754 leaves open which payload ``nan_a + nan_b`` keeps, and
+    CPython's float add keeps either one from run to run."""
+    ordered = np.sort(np.asarray(activities, dtype=np.float64),
+                      kind="stable")
+    n_users = len(ordered)
+    bounds = np.linspace(0, n_users, min(n_cohorts, n_users) + 1)
+    bounds = bounds.astype(np.int64)
+    prefix = np.concatenate(([0.0], np.cumsum(ordered))) + 0.0
+    counts = np.diff(bounds)
+    sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    keep = counts > 0
+    return counts[keep], sums[keep] / counts[keep]
+
+
+def _nans():
+    """NaNs of either sign with arbitrary payloads, quiet or signaling."""
+    return st.builds(
+        lambda sign, payload: np.array(
+            [(sign << 63) | (0x7FF << 52) | payload],
+            dtype=np.uint64).view(np.float64)[0],
+        st.integers(0, 1), st.integers(1, (1 << 52) - 1))
+
+
+_tie_heavy = st.one_of(
+    # a handful of distinct values, so most draws tie
+    st.lists(st.sampled_from([0.5, 1.0, 2.0, 7.25]),
+             min_size=1, max_size=300),
+    # signed zeros and NaNs mixed into ordinary activities
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.5, -2.0]),
+                       _nans()),
+             min_size=1, max_size=300),
+    # a single user
+    st.lists(st.one_of(st.floats(allow_nan=False), _nans()),
+             min_size=1, max_size=1),
+).map(lambda xs: np.asarray(xs, dtype=np.float64))
+
+
+@given(activities=_tie_heavy,
+       n_cohorts=st.one_of(st.integers(min_value=1, max_value=64),
+                           st.integers(min_value=300, max_value=1_000)))
+@settings(max_examples=400, deadline=None)
+def test_cohorts_bit_identical_to_stable_sort(activities, n_cohorts):
+    """The sort is unstable; the table is the stable sort's, bit for
+    bit, through ties, signed zeros, NaN payloads, one user and more
+    cohorts than users."""
+    before = activities.tobytes()
+    with np.errstate(invalid="ignore"):      # inf - inf, NaN payloads
+        table = cohorts_from_activities(activities, n_cohorts)
+        counts, activity = _stable_reference(activities, n_cohorts)
+    assert activities.tobytes() == before      # the caller's array
+    assert table.counts.tobytes() == counts.tobytes()
+    assert table.activity.tobytes() == activity.tobytes()
+
+
+#: SHA-256 of ``counts`` then ``activity`` bytes of the 1M-user,
+#: 32-cohort table at seed 1, as the stable-sort binning built it.
+MILLION_USER_TABLE_SHA256 = (
+    "d99c92957f9e4abad643b2718a96d1472fdabce162a9478479f361a7850a7eef")
+
+
+def test_million_user_table_digest():
+    table = build_cohorts(1_000_000, 32, np.random.default_rng(1))
+    digest = hashlib.sha256()
+    digest.update(table.counts.tobytes())
+    digest.update(table.activity.tobytes())
+    assert digest.hexdigest() == MILLION_USER_TABLE_SHA256
