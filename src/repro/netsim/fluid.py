@@ -186,36 +186,50 @@ def weighted_max_min(demand: np.ndarray, weights: np.ndarray,
     flow count so fairness is per *flow*, not per class.  Invariants
     (property-tested): no link over capacity, no class over demand, a
     class below demand is bottlenecked on a saturated link.
+
+    A round is a few whole-array ops plus Python-float arithmetic over
+    the few links, bit-identical to the masked reference loop in
+    ``tests/netsim/fluid_reference.py`` (DESIGN.md says why).
     """
     demand = np.asarray(demand, dtype=np.float64)
     weights = np.maximum(np.asarray(weights, dtype=np.float64), 1e-12)
-    cap_left = np.asarray(capacity, dtype=np.float64).copy()
+    member = np.asarray(membership, dtype=np.float64)
+    links = np.asarray(membership, dtype=bool)
+    cap_left = np.asarray(capacity, dtype=np.float64).tolist()
     alloc = np.zeros_like(demand)
+    rem = demand.copy()                              # demand - alloc
     active = demand > RATE_EPSILON
+    n_active = int(np.count_nonzero(active))
     active_weight = np.where(active, weights, 0.0)   # 0 once frozen
     slack = RATE_EPSILON * weights
+    work = np.empty_like(demand)
+    frozen = np.empty_like(active)
     for _ in range(len(demand) + len(cap_left) + 1):
-        if not active.any():
+        if not n_active:
             break
-        load = membership @ active_weight            # weight per link
-        live = load > 0
-        link_delta = np.min(cap_left[live] / load[live]) \
-            if live.any() else np.inf
-        headroom = (demand[active] - alloc[active]) / weights[active]
-        class_delta = float(headroom.min())
+        load = (member @ active_weight).tolist()     # weight per link
+        link_delta = min((c / w for c, w in zip(cap_left, load) if w > 0),
+                         default=np.inf)
+        np.divide(rem, weights, out=work)            # headroom
+        class_delta = float(work.min(where=active, initial=np.inf))
         delta = min(link_delta, class_delta)
         if not np.isfinite(delta) or delta < 0:
             break
-        alloc += delta * active_weight
-        cap_left -= delta * load
-        satisfied = active & (demand - alloc <= slack)
-        saturated = live & (cap_left <= RATE_EPSILON)
-        choked = membership[saturated].any(axis=0) if saturated.any() \
-            else np.zeros_like(active)
-        frozen = satisfied | (active & choked)
-        if not frozen.any():
-            frozen = active.copy()   # numerical corner: force progress
-        active &= ~frozen
+        np.multiply(active_weight, delta, out=work)
+        alloc += work
+        np.subtract(demand, alloc, out=rem)
+        np.less_equal(rem, slack, out=frozen)        # satisfied
+        for i, w in enumerate(load):
+            cap_left[i] -= delta * w
+            if w > 0 and cap_left[i] <= RATE_EPSILON:
+                frozen |= links[i]                   # choked
+        frozen &= active
+        n_frozen = int(np.count_nonzero(frozen))
+        if not n_frozen:
+            frozen[:] = active   # numerical corner: force progress
+            n_frozen = n_active
+        active ^= frozen
+        n_active -= n_frozen
         active_weight[frozen] = 0.0
     return alloc
 
@@ -677,103 +691,82 @@ def _empty_columns(dir_values: List[str]) -> PacketColumns:
         payload=[])
 
 
-def _expand_direction(spec: _FlowArrays, direction: str,
-                      max_packets: int):
-    """Expand one direction of a flow group into packet field arrays.
+def _expand_flows(specs: List[_FlowArrays], max_packets: int,
+                  dir_values: List[str], app_values: List[str],
+                  label_values: List[str]) -> PacketColumns:
+    """Expand flow groups into one time-sorted PacketColumns batch.
 
     Mirrors :func:`repro.netsim.packets.synthesize_packets` exactly:
     per-direction byte split by rounded ``fwd_fraction``, packet count
     ``ceil(bytes / MAX_SEGMENT)`` capped with proportionally larger
     packets, timestamps spread at bin midpoints, SYN/SYN-ACK first
-    packet, FIN-ACK last, ACK in between (TCP only).
+    packet, FIN-ACK last, ACK in between (TCP only).  Each direction of
+    a flow with bytes is one row, laid out group by group, forward
+    before reverse, and the batch expands in one pass over the rows.
     """
-    if direction == "fwd":
-        dir_bytes = np.round(spec.sizes * spec.fwd_fraction)
-    else:
-        dir_bytes = np.round(spec.sizes * (1.0 - spec.fwd_fraction))
-    keep = dir_bytes > 0
-    if not keep.any():
-        return None
-    dir_bytes = dir_bytes[keep]
-    starts = spec.starts[keep]
-    durations = spec.durations[keep]
+    counts = np.array([len(s.sizes) for s in specs], dtype=np.int64)
+    n = int(counts.sum())
+
+    def flows(attr):            # one value per flow, groups in order
+        values = [getattr(s, attr) for s in specs]
+        return np.concatenate(values) if np.ndim(values[0]) else \
+            np.repeat(np.array(values), counts)
+
+    sizes, fwd = flows("sizes"), flows("fwd_fraction")
+    # slot f is flow f's forward direction, slot n + f its reverse
+    slot_bytes = np.concatenate((np.round(sizes * fwd),
+                                 np.round(sizes * (1.0 - fwd))))
+    group = 2 * np.repeat(np.arange(len(specs)), counts)
+    slot = np.argsort(np.concatenate((group, group + 1)), kind="stable")
+    slot = slot[slot_bytes[slot] > 0]
+    if not len(slot):
+        return _empty_columns(dir_values)
+    dir_bytes = slot_bytes[slot]
+    rev = slot >= n
+    row_flow = slot - n * rev
     n_pkts = np.ceil(dir_bytes / MAX_SEGMENT).astype(np.int64)
     np.clip(n_pkts, 1, max_packets, out=n_pkts)
-    total = int(n_pkts.sum())
+    ends = np.cumsum(n_pkts)
+    first_of = ends - n_pkts
     idx = np.repeat(np.arange(len(n_pkts)), n_pkts)
-    first_of = np.concatenate(([0], np.cumsum(n_pkts)))[:-1]
-    pos = np.arange(total) - np.repeat(first_of, n_pkts)
-    per_packet = dir_bytes / n_pkts
-    rounded = np.round(per_packet)
+    pos = np.arange(ends[-1]) - first_of[idx]
+    rounded = np.round(dir_bytes / n_pkts)
     payload_len = rounded[idx]
-    last = pos == (n_pkts[idx] - 1)
-    remainder = dir_bytes - rounded * (n_pkts - 1)
-    payload_len[last] = np.maximum(remainder[idx][last], 0.0)
-    timestamps = starts[idx] + (pos + 0.5) * (durations / n_pkts)[idx]
-    tcp = spec.protocol == _TCP
-    if tcp:
-        flags = np.full(total, float(_ACK))
-        flags[last] = float(_FINACK)
-        flags[pos == 0] = float(_SYN if direction == "fwd" else _SYNACK)
-        header = _HEADER_TCP
-    else:
-        flags = np.zeros(total)
-        header = _HEADER_UDP
-    if direction == "fwd":
-        src_u32, dst_u32 = spec.src_u32[keep], spec.dst_u32[keep]
-        src_port, dst_port = spec.src_port[keep], spec.dst_port[keep]
-        outbound = spec.src_internal
-    else:
-        src_u32, dst_u32 = spec.dst_u32[keep], spec.src_u32[keep]
-        src_port, dst_port = spec.dst_port[keep], spec.src_port[keep]
-        outbound = not spec.src_internal
-    return {
-        "timestamp": timestamps,
-        "src_ip": src_u32[idx], "dst_ip": dst_u32[idx],
-        "src_port": src_port[idx], "dst_port": dst_port[idx],
-        "protocol": np.full(total, spec.protocol),
-        "size": payload_len + header, "payload_len": payload_len,
-        "flags": flags, "ttl": np.full(total, spec.ttl),
-        "flow_id": spec.flow_id[keep][idx],
-        "dir_code": np.full(total, 1 if outbound else 0,
-                            dtype=np.int64),
-        "app_code": np.full(total, spec.app_code, dtype=np.int64),
-        "label_code": np.full(total, spec.label_code, dtype=np.int64),
-    }
-
-
-def _expand_flows(specs: List[_FlowArrays], max_packets: int,
-                  dir_values: List[str], app_values: List[str],
-                  label_values: List[str]) -> PacketColumns:
-    """Expand flow groups into one time-sorted PacketColumns batch."""
-    parts = []
-    for spec in specs:
-        for direction in ("fwd", "rev"):
-            expanded = _expand_direction(spec, direction, max_packets)
-            if expanded is not None:
-                parts.append(expanded)
-    if not parts:
-        return _empty_columns(dir_values)
-    merged = {key: np.concatenate([p[key] for p in parts])
-              for key in parts[0]}
+    payload_len[ends - 1] = np.maximum(
+        dir_bytes - rounded * (n_pkts - 1), 0.0)
+    timestamps = (flows("starts")[row_flow][idx] + (pos + 0.5)
+                  * (flows("durations")[row_flow] / n_pkts)[idx])
+    protocol = flows("protocol")[row_flow]
+    tcp = protocol == _TCP
+    flags = np.where(tcp, float(_ACK), 0.0)[idx]
+    flags[ends - 1] = np.where(tcp, float(_FINACK), 0.0)
+    flags[first_of] = np.where(tcp, np.where(rev, float(_SYNACK),
+                                             float(_SYN)), 0.0)
+    dir_code = (flows("src_internal")[row_flow] != rev).astype(
+        np.int64)[idx]                                 # 1 = outbound
     # (timestamp, direction) order — the same tie-break the discrete
-    # synthesizer uses, with "in" (code 0) sorting before "out".
-    order = np.lexsort((merged["dir_code"], merged["timestamp"]))
+    # synthesizer uses, with "in" (code 0) sorting before "out"; the
+    # stable sort leaves ties in row layout order, as the per-direction
+    # reference (tests/netsim/fluid_reference.py) concatenated them.
+    order = np.lexsort((dir_code, timestamps))
+    row = idx[order]
+    other = (slot + n) % (2 * n)                       # opposite end
+    addresses = np.concatenate((flows("src_u32"), flows("dst_u32")))
+    ports = np.concatenate((flows("src_port"), flows("dst_port")))
     return PacketColumns.from_arrays(
-        timestamp=merged["timestamp"][order],
-        src_ip=merged["src_ip"][order].astype(np.uint32),
-        dst_ip=merged["dst_ip"][order].astype(np.uint32),
-        src_port=merged["src_port"][order],
-        dst_port=merged["dst_port"][order],
-        protocol=merged["protocol"][order],
-        size=merged["size"][order],
-        payload_len=merged["payload_len"][order],
-        flags=merged["flags"][order], ttl=merged["ttl"][order],
-        flow_id=merged["flow_id"][order],
-        direction=DictColumn(merged["dir_code"][order],
-                             list(dir_values)),
-        app=DictColumn(merged["app_code"][order], list(app_values)),
-        label=DictColumn(merged["label_code"][order],
+        timestamp=timestamps[order],
+        src_ip=addresses[slot][row].astype(np.uint32),
+        dst_ip=addresses[other][row].astype(np.uint32),
+        src_port=ports[slot][row], dst_port=ports[other][row],
+        protocol=protocol[row],
+        size=(payload_len + np.where(tcp, _HEADER_TCP, _HEADER_UDP)[idx]
+              )[order],
+        payload_len=payload_len[order], flags=flags[order],
+        ttl=flows("ttl")[row_flow][row],
+        flow_id=flows("flow_id")[row_flow][row],
+        direction=DictColumn(dir_code[order], list(dir_values)),
+        app=DictColumn(flows("app_code")[row_flow][row], list(app_values)),
+        label=DictColumn(flows("label_code")[row_flow][row],
                          list(label_values)))
 
 

@@ -598,8 +598,10 @@ class PacketColumns:
         if payload is not None:
             if isinstance(key, slice):
                 payload = payload[key]
-            else:
-                payload = [payload[int(i)] for i in key]
+            else:       # one gather, as records_at reads payloads
+                rows = key.astype(np.int64, copy=False)
+                payload = payload.rows(rows) if hasattr(payload, "rows") \
+                    else list(map(payload.__getitem__, rows.tolist()))
         return PacketColumns(
             payload=payload,
             **{fld: cut(getattr(self, fld))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,7 +58,8 @@ class LognormalSize:
 
     Called as ``(rng, n)`` it draws ``n`` iid sizes, exactly as
     :meth:`AppTrafficModel.lognormal_bytes` draws one.  ``mean`` and
-    ``var`` are the clipped law's analytic moments.
+    ``var`` are the clipped law's analytic moments, computed once per
+    instance (the class draw reads them every tick).
     """
 
     median: float
@@ -83,11 +85,11 @@ class LognormalSize:
         return (self.floor ** k * _normal_cdf(a)
                 + self.ceil ** k * _normal_cdf(-b) + body)
 
-    @property
+    @cached_property
     def mean(self) -> float:
         return self.raw_moment(1)
 
-    @property
+    @cached_property
     def var(self) -> float:
         return self.raw_moment(2) - self.mean ** 2
 

@@ -82,6 +82,34 @@ class TestPacketColumns:
         assert (ts >= 2.0).all() and (ts <= 5.0).all()
         assert lo == 4 and hi == 11  # inclusive bounds
 
+    def test_take_gathers_payloads_by_position(self):
+        records = [_pkt(i, payload=bytes([i]) * i) for i in range(12)]
+        cols = PacketColumns.from_records(records)
+        for positions in ([7, 0, 11, 7, 3], [], [5]):
+            taken = cols.take(np.asarray(positions, dtype=np.int64))
+            assert list(taken.payload) == [records[i].payload
+                                           for i in positions]
+            assert list(taken.iter_records()) == [records[i]
+                                                  for i in positions]
+
+    def test_take_gathers_through_a_rows_column(self):
+        """A payload column with a bulk ``rows`` gather (the cold tier's
+        mmap'd blob) is read through it, not row by row."""
+        class Rows(list):
+            def __getitem__(self, key):
+                raise AssertionError("read row by row")
+
+            def rows(self, positions):
+                return [list.__getitem__(self, i) for i in positions]
+
+        records = [_pkt(i, payload=bytes([i]) * i) for i in range(6)]
+        cols = PacketColumns.from_records(records)
+        cols = PacketColumns(payload=Rows(cols.payload), **{
+            fld: getattr(cols, fld) for fld in cols.__slots__
+            if not fld.startswith("_") and fld != "payload"})
+        taken = cols.take(np.array([4, 1, 4]))
+        assert list(taken.payload) == [b"\x04" * 4, b"\x01", b"\x04" * 4]
+
     def test_unsorted_and_nan_never_sorted(self):
         out_of_order = [_pkt(1), _pkt(0)]
         assert not PacketColumns.from_records(out_of_order).time_sorted

@@ -173,3 +173,13 @@ def test_uniform_and_fixed_sizes_keep_their_draws():
     assert np.array_equal(UniformIntSize(120, 600)(rng_a, 50),
                           rng_b.integers(120, 600, size=50).astype(float))
     assert np.array_equal(FixedSize(180.0)(rng_a, 4), np.full(4, 180.0))
+
+
+def test_lognormal_moments_are_cached_unchanged():
+    """mean/var are computed once per instance and equal, bit for bit,
+    the closed form evaluated afresh."""
+    dist = LognormalSize(median=900.0, sigma=1.3)
+    m1, m2 = dist.raw_moment(1), dist.raw_moment(2)
+    assert dist.mean == m1 and dist.var == m2 - m1 ** 2
+    assert vars(dist)["mean"] == m1 and vars(dist)["var"] == m2 - m1 ** 2
+    assert dist == LognormalSize(median=900.0, sigma=1.3)
