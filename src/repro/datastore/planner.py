@@ -43,15 +43,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.datastore import schema as schemas
+import numpy as np
+
 from repro.datastore.query import (
-    _RID_KEY,
-    _TIME_RID_KEY,
     Query,
-    _columnar_scan,
     _observe_query,
-    _record_scan,
-    columnar_positions,
+    _scan_columns,
+    _scan_records,
 )
 from repro.datastore.stats import HLL_P, HLL_REL_BOUND, keyed_value_counts, \
     stat_key
@@ -374,17 +372,6 @@ def plan_query(store, query: Query) -> QueryPlan:
 # -- exact execution ---------------------------------------------------------
 
 
-def _scan_planned(sp: SegmentPlan, query: Query):
-    """(time, stored) pairs of one planned segment's matches, plus
-    whether its column block served the scan."""
-    segment = sp.segment
-    cols = segment.columns()
-    if cols is None:
-        return _record_scan(segment, query), False
-    return _columnar_scan(segment, cols, query, where_items=sp.where_items,
-                          gather=sp.gather), True
-
-
 def _observe_plan(obs, plan: QueryPlan) -> None:
     """Per-plan prune/row counters (estimate-vs-actual drift)."""
     metrics = obs.metrics
@@ -401,53 +388,137 @@ def _observe_plan(obs, plan: QueryPlan) -> None:
         plan.root.actual_rows or 0)
 
 
-def _parallel_plan_triples(contributing: List[SegmentPlan], query: Query,
-                           executor):
+def _scatter_matches(contributing: List[SegmentPlan], query: Query,
+                     executor) -> Optional[List[Tuple]]:
     """Planned scatter: workers get each segment's ordered predicate
-    sequence and gather choice; None when the kernel is ineligible."""
+    sequence and gather choice and return its match positions; None
+    when the kernel is ineligible."""
     from repro.parallel.kernels import scatter_query
-    orders = {sp.segment.segment_id: (sp.where_items, sp.gather)
-              for sp in contributing}
-    scattered = scatter_query([sp.segment for sp in contributing], query,
-                              executor, segment_orders=orders)
+    scattered = scatter_query([(sp.segment, sp.where_items, sp.gather)
+                               for sp in contributing], query, executor)
     if scattered is None:
         return None
-    by_identity = {id(sp.segment): sp for sp in contributing}
-    triples: List[Tuple[float, int, object]] = []
-    for segment, positions in scattered:
-        sp = by_identity.get(id(segment))
-        if sp is not None:
-            sp.actual_rows = len(positions)
-        rows = segment.stored_at(positions)
-        triples.extend(zip(segment.columns().timestamp[positions].tolist(),
-                           [stored.rid for stored in rows], rows))
-    return triples
+    for sp, positions in zip(contributing, scattered):
+        sp.actual_rows = len(positions)
+    return [(sp.segment, positions, None)
+            for sp, positions in zip(contributing, scattered)]
 
 
-def _scan_triples(contributing: List[SegmentPlan], query: Query,
-                  executor) -> Tuple[List, bool]:
-    """``(time, rid, stored)`` of every match in the contributing
-    segments, plus whether every scan ran vectorized."""
+def _scan_matches(contributing: List[SegmentPlan], query: Query,
+                  executor=None) -> Tuple[List[Tuple], bool]:
+    """Each contributing segment's matches as ``(segment, positions,
+    rows)``: a column block's ascending positions plus the rows built
+    for per-record checks (None if none ran), a record segment's
+    ``(segment, None, rows)``.  Also whether every scan ran
+    vectorized."""
     if executor is not None and executor.parallel:
-        triples = _parallel_plan_triples(contributing, query, executor)
-        if triples is not None:
-            return triples, True
-    triples = []
-    columnar = True
+        scans = _scatter_matches(contributing, query, executor)
+        if scans is not None:
+            return scans, True
+    scans = []
     for sp in contributing:
-        pairs, seg_columnar = _scan_planned(sp, query)
-        columnar = columnar and seg_columnar
-        sp.actual_rows = len(pairs)
-        triples.extend((t, stored.rid, stored) for t, stored in pairs)
-    return triples, columnar
+        segment = sp.segment
+        cols = segment.columns()
+        if cols is None:
+            scans.append((segment, None, _scan_records(segment, query)))
+        else:
+            scans.append((segment, *_scan_columns(
+                segment, cols, query, sp.where_items, sp.gather)))
+        sp.actual_rows = _matched(scans[-1])
+    return scans, all(positions is not None for _, positions, _ in scans)
 
 
-def _merge_triples(triples: List, query: Query) -> List:
-    triples.sort(key=_TIME_RID_KEY if query.order_by_time else _RID_KEY)
-    records = [stored for _, _, stored in triples]
-    if query.limit is not None:
-        records = records[: query.limit]
-    return records
+def _matched(scan) -> int:
+    _, positions, rows = scan
+    return len(rows) if positions is None else len(positions)
+
+
+def _keys(scan) -> Tuple[np.ndarray, np.ndarray]:
+    """(times, rids) of one scan's matches."""
+    segment, positions, rows = scan
+    if positions is not None:
+        return segment.columns().timestamp[positions], segment.rids[positions]
+    time_of = segment.schema.time_of
+    return (np.fromiter((time_of(s.record) for s in rows), np.float64,
+                        len(rows)),
+            np.fromiter((s.rid for s in rows), np.uint64, len(rows)))
+
+
+def _merge_order(scans: List[Tuple], query: Query) -> Optional[np.ndarray]:
+    """Indices into the scans' concatenated matches in answer order, cut
+    at the limit; None when the concatenation already is the answer.
+
+    The order is the seal's (:meth:`PacketSegment.merged`): one
+    ``lexsort`` on ``(time, rid)``, NaN times last by rid, or a stable
+    rid sort for unordered queries.  Keys already in order (one sorted
+    segment, time-disjoint ones) are not sorted."""
+    keys = list(map(_keys, scans))
+    time = np.concatenate([times for times, _ in keys])
+    rid = np.concatenate([rids for _, rids in keys])
+    ordered = rid[1:] > rid[:-1]
+    if query.order_by_time:
+        head, tail = time[:-1], time[1:]
+        ordered = (head < tail) | ((head == tail) & ordered)
+    if np.all(ordered):
+        if query.limit is None or query.limit >= len(rid):
+            return None
+        order = np.arange(len(rid))
+    elif query.order_by_time:
+        order = np.lexsort((rid, time))
+    else:
+        order = np.argsort(rid, kind="stable")
+    return order[:query.limit]
+
+
+def _cut(scans: List[Tuple], order: np.ndarray) \
+        -> Tuple[List[Tuple], np.ndarray]:
+    """The scans cut to the matches in ``order`` (still in segment
+    order), and where each of ``order`` sits in the cut's
+    concatenation."""
+    total = sum(map(_matched, scans))
+    if len(order) == total:
+        return scans, order
+    keep = np.zeros(total, dtype=bool)
+    keep[order] = True
+    cut = []
+    lo = 0
+    for scan in scans:
+        segment, positions, rows = scan
+        hi = lo + _matched(scan)
+        kept = np.flatnonzero(keep[lo:hi])
+        lo = hi
+        if len(kept):
+            cut.append((segment,
+                        None if positions is None else positions[kept],
+                        None if rows is None
+                        else list(map(rows.__getitem__, kept.tolist()))))
+    return cut, (np.cumsum(keep) - 1)[order]
+
+
+def _merge_rows(scans: List[Tuple], query: Query) -> List:
+    """The answer rows: the merge order over the match keys, then one
+    ``stored_at`` per segment over only the output positions."""
+    order = _merge_order(scans, query) if scans else None
+    cut, where = (scans, None) if order is None else _cut(scans, order)
+    pool = []
+    for segment, positions, rows in cut:
+        pool.extend(segment.stored_at(positions) if rows is None else rows)
+    return pool if where is None else list(map(pool.__getitem__,
+                                               where.tolist()))
+
+
+def _scan_plan(plan: QueryPlan, obs, executor=None):
+    """:func:`_scan_matches` over the plan's contributing segments, in
+    a ``query.plan.scan`` span when observed."""
+    query = plan.query
+    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
+    if obs is None:
+        return _scan_matches(contributing, query, executor)
+    with obs.span("query.plan.scan", collection=query.collection,
+                  segments=len(contributing)) as span:
+        scans, columnar = _scan_matches(contributing, query, executor)
+        span.set(rows=sum(map(_matched, scans)))
+    return scans, columnar
 
 
 def execute_plan_sharded(store, plan: QueryPlan, executor=None,
@@ -455,30 +526,26 @@ def execute_plan_sharded(store, plan: QueryPlan, executor=None,
     """Planned execution with the deterministic ``(time, rid)`` merge:
     the one exact executor every store query goes through.
 
-    Scans each contributing segment (in worker processes when an
-    eligible ``executor`` is supplied) and merges on ``(time, rid)`` —
-    or bare ``rid`` for unordered queries.  Rids are assigned in global
-    ingest order, so whatever the sealing, compaction or shard layout,
-    the answer is the linear reference's over the same batches held
-    unsealed in input order (``tests/datastore/reference.py``).
+    Scans each contributing segment for its match positions (in worker
+    processes when an eligible ``executor`` is supplied), orders the
+    matches on ``(time, rid)`` — or bare ``rid`` for unordered queries
+    — and builds rows only for the positions the answer keeps.  Rids
+    are assigned in global ingest order, so whatever the sealing,
+    compaction or shard layout, the answer is the linear reference's
+    over the same batches held unsealed in input order
+    (``tests/datastore/reference.py``).
     """
-    query = plan.query
-    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
+    started = obs.clock.now() if obs is not None else None
+    scans, columnar = _scan_plan(plan, obs, executor)
     if obs is None:
-        triples, _ = _scan_triples(contributing, query, executor)
-        records = _merge_triples(triples, query)
-        plan.root.actual_rows = len(records)
-        return records
-    started = obs.clock.now()
-    with obs.span("query.plan.scan", collection=query.collection,
-                  segments=len(contributing)) as span:
-        triples, columnar = _scan_triples(contributing, query, executor)
-        span.set(rows=len(triples))
-    with obs.span("query.plan.merge", rows=len(triples)):
-        records = _merge_triples(triples, query)
+        records = _merge_rows(scans, plan.query)
+    else:
+        with obs.span("query.plan.merge", rows=sum(map(_matched, scans))):
+            records = _merge_rows(scans, plan.query)
     plan.root.actual_rows = len(records)
-    _observe_plan(obs, plan)
-    _observe_query(obs, started, len(records), columnar)
+    if obs is not None:
+        _observe_plan(obs, plan)
+        _observe_query(obs, started, len(records), columnar)
     return records
 
 
@@ -487,82 +554,53 @@ def execute_plan_sharded(store, plan: QueryPlan, executor=None,
 # Aggregates never build rows for what the columns can answer: a
 # segment's matches are counted from their positions, and a DISTINCT or
 # heavy-hitter tally reads only the one column it needs at those
-# positions.  Rows are built only for segments whose matches need
-# per-record checks (residual fields, tags, a predicate), for a field
-# without a column, and for a tally cut by a limit.
+# positions — under a limit, at the positions the merge keeps.  Rows
+# are built only for matches that need per-record checks (residual
+# fields, tags, a predicate) and for a field without a column.
 
 
-def _exact_key(record, field_of, fld):
-    value = field_of(record, fld)
-    key = stat_key(value)
-    return value if key is None else key
-
-
-def _tally_records(tallies: Dict, records, field_of, fld: str) -> None:
-    for stored in records:
-        key = _exact_key(stored.record, field_of, fld)
+def _tally(tallies: Dict, scan, fld: str) -> None:
+    """Count ``fld``'s keys among one scan's matches into ``tallies``."""
+    segment, positions, rows = scan
+    if positions is not None:
+        if not len(positions):
+            return
+        counted = keyed_value_counts(segment.columns(), fld, positions)
+        if counted is not None:
+            for key, count in zip(counted[0], counted[1].tolist()):
+                tallies[key] = tallies.get(key, 0) + count
+            return
+        if rows is None:                # no column for fld: read rows
+            rows = segment.stored_at(positions)
+    field_of = segment.schema.field_of
+    for stored in rows:
+        value = field_of(stored.record, fld)
+        key = stat_key(value)
+        key = value if key is None else key
         tallies[key] = tallies.get(key, 0) + 1
 
 
-def _aggregate_segment(sp: SegmentPlan, query: Query,
-                       fld: Optional[str] = None,
-                       tallies: Optional[Dict] = None) -> bool:
-    """Count one planned segment's matches into ``sp.actual_rows`` and,
-    given ``fld``, its keys among them into ``tallies``; returns whether
-    the segment's column block served the scan."""
-    segment = sp.segment
-    cols = segment.columns()
-    positions = None
-    if cols is not None and not query.tags and query.predicate is None:
-        positions = columnar_positions(cols, query.time_range, query.where,
-                                       where_items=sp.where_items,
-                                       gather=sp.gather)
-    if positions is None:
-        pairs, columnar = _scan_planned(sp, query)
-        sp.actual_rows = len(pairs)
-        if fld is not None:
-            _tally_records(tallies, (stored for _, stored in pairs),
-                           segment.schema.field_of, fld)
-        return columnar
-    sp.actual_rows = len(positions)
-    if fld is not None and len(positions):
-        counted = keyed_value_counts(cols, fld, positions)
-        if counted is None:             # no column for fld: read rows
-            _tally_records(tallies, segment.stored_at(positions),
-                           segment.schema.field_of, fld)
-        else:
-            for key, count in zip(counted[0], counted[1].tolist()):
-                tallies[key] = tallies.get(key, 0) + count
-    return True
-
-
-def _exact_aggregate(store, plan: QueryPlan, query: Query, obs=None,
+def _exact_aggregate(plan: QueryPlan, query: Query, obs=None,
                      fld: Optional[str] = None) -> Tuple[int, Dict]:
     """(matching rows, ``{key: count}`` of ``fld`` — empty without
     one) for an exact aggregate, filling the plan's actual rows and the
     obs counters exactly as :func:`execute_plan_sharded` does."""
-    tallies: Dict = {}
-    if fld is not None and query.limit is not None:
-        # The limit keeps the first rows in (time, rid) order, which
-        # segment order (shard-major, sorted and unsorted segments
-        # mixed) does not give, so take the rows through the merge.
-        records = execute_plan_sharded(store, plan, obs=obs)
-        _tally_records(tallies, records,
-                       schemas.SCHEMAS[query.collection].field_of, fld)
-        return len(records), tallies
-    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
-    if obs is None:
-        for sp in contributing:
-            _aggregate_segment(sp, query, fld, tallies)
-    else:
-        started = obs.clock.now()
-        with obs.span("query.plan.scan", collection=query.collection,
-                      segments=len(contributing)):
-            columnar = all([_aggregate_segment(sp, query, fld, tallies)
-                            for sp in contributing])
-    rows = sum(sp.actual_rows for sp in contributing)
+    started = obs.clock.now() if obs is not None else None
+    scans, columnar = _scan_plan(plan, obs)
+    rows = sum(map(_matched, scans))
     if query.limit is not None:
         rows = min(rows, query.limit)
+        # The limit keeps the first matches in (time, rid) order, which
+        # segment order (shard-major, sorted and unsorted segments
+        # mixed) does not give: tally the merge's cut.
+        order = _merge_order(scans, query) if fld is not None and scans \
+            else None
+        if order is not None:
+            scans, _ = _cut(scans, order)
+    tallies: Dict = {}
+    if fld is not None:
+        for scan in scans:
+            _tally(tallies, scan, fld)
     plan.root.actual_rows = rows
     if obs is not None:
         _observe_plan(obs, plan)
@@ -634,7 +672,7 @@ def _sketch_count(plan: QueryPlan, query: Query) -> Tuple[int, int, str]:
                 estimate += answer[0]
                 bound += answer[1]
                 continue
-        _aggregate_segment(sp, query)
+        _scan_matches([sp], query)
         exact_segments += 1
         estimate += sp.actual_rows
     return estimate, bound, "hybrid" if exact_segments else "sketch"
@@ -668,7 +706,7 @@ def execute_count(store, query: Query, obs=None) -> AggregateAnswer:
                                    plan=plan)
     if budget is not None:
         _observe_sketch(obs, "count", "fallback")
-    value, _ = _exact_aggregate(store, plan, query, obs=obs)
+    value, _ = _exact_aggregate(plan, query, obs=obs)
     _wrap_sketch(plan, "count", "exact", 0, budget, value)
     return AggregateAnswer(value=value, bound=0, source="exact", plan=plan)
 
@@ -726,7 +764,7 @@ def execute_distinct(store, query: Query, fld: str,
                                        source="sketch", plan=plan)
     if budget is not None:
         _observe_sketch(obs, "distinct", "fallback")
-    _, tallies = _exact_aggregate(store, plan, query, obs=obs, fld=fld)
+    _, tallies = _exact_aggregate(plan, query, obs=obs, fld=fld)
     value = len(tallies)
     _wrap_sketch(plan, "distinct", "exact", 0, budget, value)
     return AggregateAnswer(value=value, bound=0, source="exact", plan=plan)
@@ -787,7 +825,7 @@ def execute_heavy_hitters(store, query: Query, fld: str, k: int = 8,
                                        source="sketch", plan=plan)
     if budget is not None:
         _observe_sketch(obs, "heavy_hitters", "fallback")
-    _, tallies = _exact_aggregate(store, plan, query, obs=obs, fld=fld)
+    _, tallies = _exact_aggregate(plan, query, obs=obs, fld=fld)
     ranked = sorted(tallies.items(), key=lambda kv: (-kv[1], str(kv[0])))
     top = ranked[:k]
     _wrap_sketch(plan, "heavy_hitters", "exact", 0, budget, len(top))

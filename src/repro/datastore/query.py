@@ -19,7 +19,7 @@ equivalence suites there verify both accelerated paths return
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,9 +78,6 @@ class Aggregation:
     reducer: str = "sum"
 
 
-_TIME_KEY = itemgetter(0)
-
-
 def _candidate_positions(segment, query: Query) -> Optional[List[int]]:
     """Smallest candidate set any single index yields, or None = all."""
     best: Optional[List[int]] = None
@@ -130,12 +127,13 @@ def _matches(stored, segment, query: Query) -> bool:
     return True
 
 
-def _select(cols, time_range, items, gather: bool) \
+def columnar_positions(cols, time_range, items, gather: bool) \
         -> Tuple[np.ndarray, bool]:
     """Vectorized row selection over one column block: ascending
     positions passing the zone maps, the time range and every ``where``
     item numpy can evaluate, plus whether some item could not be
-    evaluated (a residual the caller must check per record).
+    evaluated (a residual the caller must check per record).  No
+    records: this is also the worker-side half of the parallel scan.
 
     With ``gather`` the predicates after the first evaluate only at the
     survivors of the running mask — fancy-indexed gathers instead of
@@ -191,62 +189,36 @@ def _select(cols, time_range, items, gather: bool) \
     return positions, residual
 
 
-def _columnar_scan(segment, cols, query: Query, where_items=None,
-                   gather: bool = False) -> List[Tuple[float, object]]:
-    """Vectorized per-segment scan; returns (time, stored) pairs.
+def _scan_columns(segment, cols, query: Query, items, gather: bool) \
+        -> Tuple[np.ndarray, Optional[List]]:
+    """Vectorized per-segment scan: the ascending positions of the
+    matches, plus the rows built at numpy's candidates when some filter
+    needed a per-record check (tags, a predicate, a residual field);
+    None, and no row built, when none did.
 
-    Pairs are time-ordered when the query asks for time ordering,
-    position-ordered otherwise — exactly matching the record path.
-    ``where_items`` lets the planner substitute a selectivity-ordered
-    predicate sequence (same set as ``query.where``); ``gather`` is
-    its gather choice (see :func:`_select`).
+    ``items`` is the planner's selectivity-ordered predicate sequence
+    (same set as ``query.where``) and ``gather`` its gather choice (see
+    :func:`columnar_positions`).
     """
-    items = list(query.where.items()) if where_items is None else where_items
-    positions, residual = _select(cols, query.time_range, items, gather)
-    if len(positions) == 0:
-        return []
-
-    ts = cols.timestamp
-    if residual or query.tags or query.predicate is not None:
-        pairs = [pair for pair in zip(ts[positions].tolist(),
-                                      segment.stored_at(positions))
-                 if _matches(pair[1], segment, query)]
-        if query.order_by_time:
-            pairs.sort(key=_TIME_KEY)
-        return pairs
-
-    if query.order_by_time and not cols.time_sorted:
-        positions = positions[np.argsort(ts[positions], kind="stable")]
-    return list(zip(ts[positions].tolist(), segment.stored_at(positions)))
+    positions, residual = columnar_positions(cols, query.time_range, items,
+                                             gather)
+    if not len(positions) or not (
+            residual or query.tags or query.predicate is not None):
+        return positions, None
+    rows = segment.stored_at(positions)
+    keep = [_matches(stored, segment, query) for stored in rows]
+    return positions[np.array(keep, dtype=bool)], list(compress(rows, keep))
 
 
-def columnar_positions(cols, time_range, where, where_items=None,
-                       gather: bool = False) -> Optional[np.ndarray]:
-    """Purely vectorized row selection over one column block.
-
-    The worker-side half of the parallel scan and the exact aggregates'
-    row count: zone maps, time slice, and equality masks only — no
-    records, no tags, no predicates.  Returns ascending positions, or
-    ``None`` when some ``where`` field cannot be evaluated vectorized
-    (caller must fall back to the serial path, which handles residual
-    fields per record).
-    """
-    items = list(where.items()) if where_items is None else where_items
-    positions, residual = _select(cols, time_range, items, gather)
-    return None if residual else positions
-
-
-def _record_scan(segment, query: Query) -> List[Tuple[float, object]]:
-    """Index-accelerated record path for one segment: the (time,
-    stored) pairs of its matches, in position order."""
+def _scan_records(segment, query: Query) -> List:
+    """Index-accelerated record path for one segment: its matching
+    rows, in position order."""
     candidates = _candidate_positions(segment, query)
     if candidates is None:
         rows = segment.records
     else:
         rows = segment.stored_at(sorted(set(candidates)))
-    time_of = segment.schema.time_of
-    return [(time_of(stored.record), stored) for stored in rows
-            if _matches(stored, segment, query)]
+    return [stored for stored in rows if _matches(stored, segment, query)]
 
 
 def _observe_query(obs, started: float, rows: int, columnar: bool) -> None:
@@ -255,10 +227,6 @@ def _observe_query(obs, started: float, rows: int, columnar: bool) -> None:
     obs.metrics.histogram("repro_store_query_seconds", path=path).observe(
         obs.clock.now() - started)
     obs.metrics.counter("repro_store_query_rows_total", path=path).inc(rows)
-
-
-_RID_KEY = itemgetter(1)
-_TIME_RID_KEY = itemgetter(0, 1)
 
 
 _REDUCERS = {

@@ -16,7 +16,7 @@ serial path.  Parallelism changes wall-clock, never answers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -74,40 +74,30 @@ _SCANNABLE_FIELDS = frozenset({
 # -- query scan ---------------------------------------------------------------
 
 
-def _query_scan_kernel(shipment: ColumnsShipment, time_range,
-                       where: Dict, where_items=None,
-                       gather: bool = False) -> Optional[np.ndarray]:
-    """Vectorized row selection over one shipped block; ascending
-    positions (or None if a field resists vectorized evaluation).
-
-    ``where_items``/``gather`` carry the planner's per-segment
-    predicate order and gather decision into the worker."""
+def _query_scan_kernel(shipment: ColumnsShipment, time_range, items,
+                       gather: bool) -> Optional[np.ndarray]:
+    """Vectorized row selection over one shipped block, with the
+    planner's predicate order and gather choice for it; ascending
+    positions (or None if a field resists vectorized evaluation)."""
     shm, cols, worker = _observed_attach(shipment)
     try:
-        if worker is None:
-            return columnar_positions(cols, time_range, where,
-                                      where_items=where_items,
-                                      gather=gather)
-        started = worker.tracer.clock.now()
-        positions = columnar_positions(cols, time_range, where,
-                                       where_items=where_items,
-                                       gather=gather)
-        _observe_kernel(worker, "query_scan", started)
-        return positions
+        started = None if worker is None else worker.tracer.clock.now()
+        positions, residual = columnar_positions(cols, time_range, items,
+                                                 gather)
+        if worker is not None:
+            _observe_kernel(worker, "query_scan", started)
+        return None if residual else positions
     finally:
         shm.close()
 
 
-def scatter_query(segments, query: Query, executor: ParallelExecutor,
-                  segment_orders: Optional[Dict[int, Tuple[list, bool]]]
-                  = None) -> Optional[List[Tuple[object, np.ndarray]]]:
-    """Per-segment scan positions computed in workers.
-
-    Returns ``[(segment, positions), ...]`` for the contributing
-    segments, or None when the query (or any segment) is ineligible
-    for the records-free kernel.  ``segment_orders`` optionally maps
-    ``segment_id`` to the planner's ``(where_items, gather)`` choice
-    for that segment.
+def scatter_query(plans: List[Tuple[object, list, bool]], query: Query,
+                  executor: ParallelExecutor) -> Optional[List[np.ndarray]]:
+    """Scan positions computed in workers, one array per planned
+    ``(segment, where_items, gather)``, in order; None when the query
+    (or any segment) is ineligible for the records-free kernel.  The
+    segments are the planner's contributing ones: none is empty or out
+    of the query's time range.
     """
     if query.tags or query.predicate is not None:
         return None
@@ -118,31 +108,18 @@ def scatter_query(segments, query: Query, executor: ParallelExecutor,
             return None
         if not isinstance(value, (str, int, float)):
             return None
-
-    jobs: List[Tuple[object, PacketColumns]] = []
-    for segment in segments:
-        if not len(segment):
-            continue
-        if query.time_range is not None and not segment.overlaps(
-                *query.time_range):
-            continue
-        cols = segment.columns()
-        if cols is None:
-            return None
-        jobs.append((segment, cols))
-    if not jobs:
+    if any(segment.columns() is None for segment, _, _ in plans):
+        return None
+    if not plans:
         return []
 
     handles = []
     try:
         tasks = []
-        for segment, cols in jobs:
-            handle, shipment = _observed_pack(cols, executor)
+        for segment, where_items, gather in plans:
+            handle, shipment = _observed_pack(segment.columns(), executor)
             handles.append(handle)
-            where_items, gather = (None, False) if segment_orders is None \
-                else segment_orders.get(segment.segment_id, (None, False))
-            tasks.append((shipment, query.time_range, dict(query.where),
-                          where_items, gather))
+            tasks.append((shipment, query.time_range, where_items, gather))
         outs = executor.map_tasks(_query_scan_kernel, tasks)
     finally:
         for handle in handles:
@@ -150,8 +127,7 @@ def scatter_query(segments, query: Query, executor: ParallelExecutor,
             handle.unlink()
     if any(out is None for out in outs):
         return None
-    return [(segment, positions)
-            for (segment, _), positions in zip(jobs, outs)]
+    return outs
 
 
 # -- featurize ----------------------------------------------------------------

@@ -65,7 +65,8 @@ _WALLCLOCK_ATTRS = {"time", "monotonic", "perf_counter",
 #: segment-scan internals only the planner/executor layer may call
 #: (REP307).  Everyone else goes through store.query/plan_query so
 #: stats pruning, predicate ordering, and EXPLAIN stay accurate.
-_QUERY_INTERNALS = {"_scan_segment", "_columnar_scan", "_record_scan",
+_QUERY_INTERNALS = {"_scan_segment", "_scan_columns", "_scan_records",
+                    "_scan_matches", "_merge_order",
                     "_candidate_positions", "columnar_positions"}
 
 #: list-mutation methods that bypass the store's segment lifecycle

@@ -5,15 +5,24 @@
 reproduce exactly (same records, same order); the columnar, planner
 and tiers equivalence suites hold them to it.  It is defined over a
 :func:`reference_store`, whose one unsealed memtable keeps every batch
-in input order, so a stable time sort there is the ``(time, rid)``
-order; the ``*_linear`` aggregates fold its answer the way the
-planner's exact aggregates are specified to.
+in input order, so a stable time sort there (NaN last) is the
+``(time, rid)`` order; the ``*_linear`` aggregates fold its answer the
+way the planner's exact aggregates are specified to.
 """
 
-from repro.datastore.query import _TIME_KEY, Query, _matches
+from repro.datastore.query import Query, _matches
 from repro.datastore.schema import SCHEMAS
 from repro.datastore.stats import stat_key
 from repro.datastore.tiers import TieredDataStore, TierPolicy
+
+
+def _time_key(pair):
+    """A (time, stored) pair's place in time order: NaN after every
+    time, as the seal's ``lexsort`` puts it (NaN compares false both
+    ways, so it cannot be sorted on as a float)."""
+    t = pair[0]
+    return (t != t, 0.0 if t != t else t)
+
 
 #: a seal size no test input reaches
 _NEVER_SEALS = TierPolicy(memtable_records=1 << 40)
@@ -34,7 +43,7 @@ def execute_query_linear(store, query: Query) -> list:
             if _matches(stored, segment, query):
                 results.append((time_of(stored.record), stored))
     if query.order_by_time:
-        results.sort(key=_TIME_KEY)
+        results.sort(key=_time_key)
     records = [stored for _, stored in results]
     if query.limit is not None:
         records = records[: query.limit]

@@ -196,6 +196,16 @@ class TestQueryInternals:
         """, rel_path="learning/mod.py")
         assert [d.code for d in findings] == ["REP307"]
 
+    def test_merge_helper_call_flagged_outside_datastore(self):
+        findings = _lint("""
+            from repro.datastore.planner import _merge_order, _scan_matches
+
+            def peek(plan, query):
+                scans, _ = _scan_matches(plan.segment_plans, query)
+                return _merge_order(scans, query)
+        """, rel_path="analysis/mod.py")
+        assert [d.code for d in findings] == ["REP307", "REP307"]
+
     def test_planner_and_executor_modules_allowed(self):
         source = """
             def execute(segment, query):
