@@ -57,6 +57,7 @@ transforms data on the way in or out.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import mmap
@@ -64,6 +65,7 @@ import os
 import shutil
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, \
     Optional, Tuple, Union
@@ -90,7 +92,7 @@ from repro.netsim.packets import _STRING_FIELDS, NUMERIC_FIELDS, \
     DictColumn, PacketColumns, PacketRecord
 from repro.parallel.sharding import ShardRouter
 
-COLD_FORMAT_VERSION = 1
+COLD_FORMAT_VERSION = 2
 REGISTRY_NAME = "registry.json"
 SEGMENT_MANIFEST = "manifest.json"
 STATS_NAME = "stats.json"
@@ -167,23 +169,36 @@ def _narrow(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
-def _write_blob(target: Path, stem: str, chunks: Iterable[bytes],
+#: target size of one joined blob write (see :func:`_write_blob`)
+_BLOB_CHUNK_BYTES = 1 << 20
+
+
+def _write_blob(target: Path, stem: str, rows: Iterable[bytes],
                 count: int) -> None:
     """Variable-length rows as one byte file plus an offsets array.
 
-    ``chunks`` is consumed as a stream (``count`` rows of it), so a
-    caller can feed rows straight from other mmaps without holding a
-    blob's worth of bytes in the heap.
+    ``rows`` is streamed (exactly ``count`` of them, else a
+    ``ValueError`` naming ``stem``) in joined writes of about
+    :data:`_BLOB_CHUNK_BYTES`: each takes as many rows as the last
+    one's bytes per row say fit, so the heap holds about one chunk
+    whatever the row sizes, and rows can come straight from mmaps.
     """
+    rows = iter(rows)
     offsets = np.zeros(count + 1, dtype=np.uint64)
-    written = 0
+    written, take = 0, 64
     with (target / f"{stem}.bin").open("wb") as fh:
-        at = 0
-        for chunk in chunks:
-            fh.write(chunk)
-            at += len(chunk)
-            written += 1
-            offsets[written] = at
+        # asks for one row past ``count``, to catch a longer stream
+        while chunk := list(itertools.islice(
+                rows, min(take, count + 1 - written))):
+            n = len(chunk)
+            if written + n > count:
+                raise ValueError(f"{stem}: more than {count} rows given")
+            fh.write(b"".join(chunk))
+            ends = np.cumsum(np.fromiter(map(len, chunk), np.uint64, n))
+            offsets[written + 1:written + 1 + n] = ends + offsets[written]
+            take = max(1, min(2 * n, n * _BLOB_CHUNK_BYTES
+                              // max(int(ends[-1]), 1)))
+            written += n
     if written != count:
         raise ValueError(f"{stem}: {written} rows written, {count} expected")
     np.save(target / f"{stem}.off.npy", offsets)
@@ -225,29 +240,27 @@ class _BlobColumn:
             offsets[positions].tolist(), offsets[positions + 1].tolist())]
 
 
-def _meta_bytes(tags: Dict[str, str], label: Optional[str]) -> bytes:
-    return json.dumps({"t": tags, "l": label},
-                      separators=(",", ":"), sort_keys=True).encode()
-
-
 def _stats_to_json(stats: SegmentStats) -> Dict:
-    """Stats block → JSON.  counts/topk serialize as [key, count]
-    pairs (JSON object keys would stringify the int/float keys and the
-    reconstructed sketches would probe the wrong slots)."""
+    """Stats block → JSON.  counts serialize as [keys, counts] and topk
+    as [key, count] pairs (JSON object keys would stringify the
+    int/float keys and the reconstructed sketches would probe the wrong
+    slots); HLL registers and count-min tables as the hex of their
+    little-endian bytes."""
     columns = {}
     for fld, c in stats.columns.items():
         entry: Dict[str, object] = {
             "n": c.n, "ndv": c.ndv, "ip_canonical": c.ip_canonical,
-            "topk": [[key, count] for key, count in c.topk],
-            "hll": {"p": c.hll.p, "registers": c.hll._registers.tolist()},
+            "topk": list(map(list, c.topk)),
+            "hll": {"p": c.hll.p,
+                    "registers": c.hll._registers.tobytes().hex()},
         }
         if c.counts is not None:
-            entry["counts"] = [[key, count]
-                               for key, count in c.counts.items()]
+            entry["counts"] = [list(c.counts), list(c.counts.values())]
         if c.cms is not None:
             entry["cms"] = {"width": c.cms.width, "depth": c.cms.depth,
                             "total": c.cms.total,
-                            "table": c.cms._table.tolist()}
+                            "table": c.cms._table.astype("<i8")
+                            .tobytes().hex()}
         columns[fld] = entry
     return {"n": stats.n, "columns": columns}
 
@@ -264,34 +277,36 @@ def _stats_from_json(payload: Dict) -> SegmentStats:
     columns: Dict[str, ColumnStats] = {}
     for fld, entry in payload["columns"].items():
         hll = HyperLogLog(p=entry["hll"]["p"])
-        hll._registers = np.asarray(entry["hll"]["registers"],
-                                    dtype=np.int8)
-        counts = None
-        if "counts" in entry:
-            counts = {key: count for key, count in entry["counts"]}
+        # bytearray buffers: restored sketches stay writable (mergeable)
+        hll._registers = np.frombuffer(
+            bytearray.fromhex(entry["hll"]["registers"]), dtype=np.int8)
         cms = None
         if "cms" in entry:
             spec = entry["cms"]
             cms = CountMinSketch(width=spec["width"], depth=spec["depth"])
-            cms._table = np.asarray(spec["table"], dtype=np.int64)
+            cms._table = np.frombuffer(bytearray.fromhex(spec["table"]),
+                                       dtype="<i8").reshape(cms._table.shape)
             cms.total = spec["total"]
         columns[fld] = ColumnStats(
-            field_name=fld, n=entry["n"], ndv=entry["ndv"], counts=counts,
-            cms=cms, bloom=None, hll=hll,
-            topk=[(key, count) for key, count in entry["topk"]],
+            field_name=fld, n=entry["n"], ndv=entry["ndv"],
+            counts=dict(zip(*entry["counts"])) if "counts" in entry
+            else None, cms=cms, bloom=None, hll=hll,
+            topk=list(map(tuple, entry["topk"])),
             ip_canonical=entry["ip_canonical"])
     return SegmentStats(n=payload["n"], columns=columns)
 
 
 def _write_cold_files(target: Path, segment_id: int, cols: PacketColumns,
-                      rids: np.ndarray, metas: Iterable[bytes],
+                      rids: np.ndarray,
+                      annotations: Tuple[np.ndarray, List[bytes]],
                       payloads: Optional[Iterable[bytes]] = None) -> Dict:
     """Write one cold segment's data files; returns the manifest body.
 
     Rows must already be ``(time, rid)``-sorted — the manifest records
-    ``time_sorted`` so readers skip the ordering scan.  ``metas`` and
-    ``payloads`` (``cols.payload`` by default) are streamed, one row
-    each per rid.
+    ``time_sorted`` so readers skip the ordering scan.  ``payloads``
+    (``cols.payload`` by default) are streamed, one row per rid.  Tags
+    and curated labels are ``annotations``: one pair code per row, and
+    the distinct (tag set, label) pairs as JSON rows.
     """
     n = len(rids)
     encodings: Dict[str, Dict] = {}
@@ -303,7 +318,9 @@ def _write_cold_files(target: Path, segment_id: int, cols: PacketColumns,
         encodings[fld] = {"kind": "numeric", "file": f"{fld}.npy"}
         if n:
             minmax[fld] = [float(arr.min()), float(arr.max())]
-    for fld in ("src_ip", "dst_ip"):
+    # string columns are always dictionary-encoded; addresses are when
+    # they do not fit u32
+    for fld in ("src_ip", "dst_ip") + _STRING_FIELDS:
         column = getattr(cols, fld)
         if isinstance(column, DictColumn):
             np.save(target / f"{fld}.codes.npy",
@@ -316,16 +333,12 @@ def _write_cold_files(target: Path, segment_id: int, cols: PacketColumns,
             encodings[fld] = {"kind": "u32", "file": f"{fld}.npy"}
             if n:
                 minmax[fld] = [float(arr.min()), float(arr.max())]
-    for fld in _STRING_FIELDS:
-        column = getattr(cols, fld)
-        np.save(target / f"{fld}.codes.npy",
-                _narrow(np.asarray(column.codes)))
-        encodings[fld] = {"kind": "dict", "file": f"{fld}.codes.npy",
-                          "values": list(column.values)}
     if payloads is None:
         payloads = map(bytes, cols.payload)
     _write_blob(target, "payload", payloads, n)
-    _write_blob(target, "meta", metas, n)
+    codes, pairs = annotations
+    np.save(target / "pairs.codes.npy", _narrow(codes))
+    _write_blob(target, "pairs", pairs, len(pairs))
     np.save(target / "rids.npy", np.asarray(rids, dtype=np.uint64))
     ts = np.asarray(cols.timestamp, dtype=np.float64)
     return {
@@ -340,33 +353,23 @@ def _write_cold_files(target: Path, segment_id: int, cols: PacketColumns,
     }
 
 
-def _finish_manifest(target: Path, manifest: Dict) -> None:
-    """Checksum every data file and commit the per-segment manifest."""
-    files = sorted(p.name for p in target.iterdir())
-    manifest["bytes"] = int(sum((target / f).stat().st_size
-                               for f in files))
-    manifest["checksums"] = {name: _sha256(target / name)
-                             for name in files}
-    (target / SEGMENT_MANIFEST).write_text(json.dumps(manifest, indent=2))
-
-
 def _sorted_cold_rows(segment: PacketSegment) \
-        -> Tuple[PacketColumns, np.ndarray, List[bytes]]:
-    """(columns, rids, meta rows) of one warm segment, already in
-    (time, rid) order (:meth:`PacketSegment.merged` builds every warm
-    segment).  Each distinct (tag set, label) pair is encoded once."""
-    cols = segment.columns()
-    rids = segment.rids
+        -> Tuple[PacketColumns, np.ndarray, Tuple[np.ndarray, List[bytes]]]:
+    """(columns, rids, (pair codes, pairs)) of one warm segment, already
+    in (time, rid) order (:meth:`PacketSegment.merged` builds every warm
+    segment).  Each distinct (tag set, label) pair is encoded once, as
+    canonical JSON: equal pairs are equal bytes, so a cold merge unions
+    pair tables without parsing them."""
     (tag_codes, tag_sets), (label_codes, values) = \
         segment.annotation_columns()
-    pairs, rows = np.unique(tag_codes * (len(values) + 1) + label_codes + 1,
-                            return_inverse=True)
+    width = len(values) + 1
+    pairs, codes = np.unique(tag_codes * width + label_codes + 1,
+                             return_inverse=True)
     labels = [None] + values
-    distinct = [_meta_bytes(tag_sets[pair // (len(values) + 1)],
-                            labels[pair % (len(values) + 1)])
-                for pair in pairs.tolist()]
-    metas = list(map(distinct.__getitem__, rows.reshape(-1).tolist()))
-    return cols, rids, metas
+    return segment.columns(), segment.rids, (codes.reshape(-1), [
+        json.dumps({"t": tag_sets[pair // width], "l": labels[pair % width]},
+                   separators=(",", ":"), sort_keys=True).encode()
+        for pair in pairs.tolist()])
 
 
 # -- cold read side ----------------------------------------------------------
@@ -399,10 +402,6 @@ class ColdSegment(SegmentBase):
         self.capacity = max(self.n, 1)
         self.bytes_estimate = int(manifest["bytes"])
         self._cols: Optional[PacketColumns] = None
-        self._rids = None
-        self._meta = None
-        self._stats: Optional[SegmentStats] = None
-        self._stats_loaded = False
 
     # -- integrity ----------------------------------------------------------
 
@@ -428,18 +427,24 @@ class ColdSegment(SegmentBase):
         return np.load(self.directory / name, mmap_mode="r").view(
             np.ndarray)
 
-    @property
+    @cached_property
     def rids(self) -> np.ndarray:
-        if self._rids is None:
-            self._rids = self._load("rids.npy")
-        return self._rids
+        return self._load("rids.npy")
 
-    @property
-    def meta_blob(self) -> _BlobColumn:
-        if self._meta is None:
-            self._meta = _BlobColumn(self.directory / "meta.bin",
-                                     self._load("meta.off.npy"))
-        return self._meta
+    @cached_property
+    def pair_codes(self) -> np.ndarray:
+        """Each row's row number in :attr:`pair_blob`."""
+        return self._load("pairs.codes.npy")
+
+    @cached_property
+    def pair_blob(self) -> _BlobColumn:
+        """The distinct (tag set, label) pairs, one JSON row each."""
+        return _BlobColumn(self.directory / "pairs.bin",
+                           self._load("pairs.off.npy"))
+
+    def _parse_pairs(self, codes: np.ndarray) -> List[Dict]:
+        return json.loads(b"[" + b",".join(self.pair_blob.rows(codes))
+                          + b"]")
 
     @property
     def records(self) -> SegmentRows:
@@ -447,42 +452,38 @@ class ColdSegment(SegmentBase):
 
     def stored_at(self, positions: np.ndarray) -> List[StoredRecord]:
         """The rows at ``positions`` as StoredRecords, built in one
-        pass: the columns through :meth:`PacketColumns.records_at`, and
-        only the selected payload and meta rows read from their mmaps.
-        Meta rows repeat heavily (a few tag sets cover most traffic),
-        so their distinct values parse as one JSON array and every row
-        gets its own copy of its tags.  Heap use is proportional to the
-        selection, never to the segment."""
+        pass: the columns through :meth:`PacketColumns.records_at`,
+        only the selected payload rows read from their mmap, and tags
+        and label by pair code.  Only the pairs the selection uses are
+        parsed, as one JSON array, and every row gets its own copy of
+        its tags.  Heap use is proportional to the selection, never to
+        the segment."""
         positions = np.asarray(positions, dtype=np.int64)
         if not len(positions):
             return []
-        packets = self.columns().records_at(positions)
-        metas = self.meta_blob.rows(positions)
-        distinct = list(dict.fromkeys(metas))
-        parsed = dict(zip(distinct, json.loads(
-            b"[" + b",".join(distinct) + b"]")))
-        return [StoredRecord(rid, packet, (meta["t"] or {}).copy(), meta["l"])
-                for rid, packet, meta in zip(self.rids[positions].tolist(),
-                                             packets, map(parsed.get, metas))]
+        used, codes = np.unique(self.pair_codes[positions],
+                                return_inverse=True)
+        pairs = list(map(self._parse_pairs(used).__getitem__,
+                         codes.reshape(-1).tolist()))
+        return list(map(
+            StoredRecord, self.rids[positions].tolist(),
+            self.columns().records_at(positions),
+            [dict(pair["t"]) for pair in pairs],
+            [pair["l"] for pair in pairs]))
 
     def annotation_columns(self) -> Tuple[Tuple[np.ndarray, List[Dict]],
                                           Tuple[np.ndarray, List[str]]]:
         """((tag codes, tag sets), (label codes, label values)), as
-        :meth:`PacketSegment.annotation_columns`, from one pass over the
-        meta blob, building no row (and keeping nothing: the codes are
-        as long as the segment)."""
-        code_of: Dict[bytes, int] = {}
-        codes = np.fromiter(
-            (code_of.setdefault(row, len(code_of)) for row in
-             self.meta_blob.rows(np.arange(self.n, dtype=np.int64))),
-            dtype=np.int64, count=self.n)
-        metas = json.loads(b"[" + b",".join(code_of) + b"]")
+        :meth:`PacketSegment.annotation_columns`, from one read of the
+        pair blob: the pair codes serve as tag codes, and label codes
+        are one gather of them (building no row)."""
+        pairs = self._parse_pairs(np.arange(len(self.pair_blob)))
         label_of: Dict[str, int] = {}
-        remap = np.array([-1 if meta["l"] is None
-                          else label_of.setdefault(meta["l"], len(label_of))
-                          for meta in metas] + [-1], dtype=np.int64)
-        return ((codes, [meta["t"] or {} for meta in metas]),
-                (remap[codes], list(label_of)))
+        remap = np.array([-1 if pair["l"] is None
+                          else label_of.setdefault(pair["l"], len(label_of))
+                          for pair in pairs] + [-1], dtype=np.int64)
+        return ((self.pair_codes, [pair["t"] for pair in pairs]),
+                (remap[self.pair_codes], list(label_of)))
 
     def set_labels(self, positions, labels) -> None:
         """Cold rows are immutable: a label write raises instead of
@@ -510,16 +511,14 @@ class ColdSegment(SegmentBase):
         return self._cols
 
     def stats(self) -> Optional[SegmentStats]:
-        if not self._stats_loaded:
-            self._stats_loaded = True
+        """The block adopted from the compactor that wrote this segment
+        (see :meth:`Compactor._write_segment`) or built here, else the
+        one ``stats.json`` holds, read once."""
+        if self._stats_rows != self.n:
             path = self.directory / STATS_NAME
             if path.exists():
                 self._stats = _stats_from_json(json.loads(path.read_text()))
-        return self._stats
-
-    def build_stats(self) -> SegmentStats:
-        self._stats = SegmentStats.build(self)
-        self._stats_loaded = True
+            self._stats_rows = self.n
         return self._stats
 
     @property
@@ -544,11 +543,13 @@ class ColdSegment(SegmentBase):
 
 
 def _merge_cold_rows(inputs: List[ColdSegment]) \
-        -> Tuple[PacketColumns, np.ndarray, Iterator[bytes],
+        -> Tuple[PacketColumns, np.ndarray, Tuple[np.ndarray, List[bytes]],
                  Iterator[bytes]]:
     """All input rows merged into global (time, rid) order: columns
-    (without payloads), rids, and the payload and meta rows as streams
-    read from the inputs' mmaps in merged order."""
+    (without payloads), rids, the annotations (each input's pair codes
+    remapped into the union of the inputs' pairs; equal pairs are equal
+    bytes, so nothing is parsed), and the payload rows as a stream read
+    from the inputs' mmaps in merged order."""
     all_cols = [segment.columns() for segment in inputs]
     cols = PacketColumns.concat(all_cols, payload=False)
     rids = np.concatenate([np.asarray(segment.rids, dtype=np.uint64)
@@ -558,14 +559,16 @@ def _merge_cold_rows(inputs: List[ColdSegment]) \
     starts = np.cumsum([0] + [len(segment) for segment in inputs])
     source = np.searchsorted(starts, order, side="right") - 1
     local = order - starts[source]
-
-    def stream(blobs: List[_BlobColumn]) -> Iterator[bytes]:
-        for i, position in zip(source.tolist(), local.tolist()):
-            yield blobs[i][position]
-
+    code_of: Dict[bytes, int] = {}
+    codes = [np.array([code_of.setdefault(pair, len(code_of))
+                       for pair in segment.pair_blob[:]],
+                      dtype=np.int64)[segment.pair_codes]
+             for segment in inputs]
+    payloads = [c.payload for c in all_cols]
     return (cols.take(order), rids[order],
-            stream([c.payload for c in all_cols]),
-            stream([segment.meta_blob for segment in inputs]))
+            (np.concatenate(codes)[order], list(code_of)),
+            (payloads[i][position] for i, position in zip(
+                source.tolist(), local.tolist())))
 
 
 def _merged_stats(inputs: List) -> Optional[SegmentStats]:
@@ -817,6 +820,40 @@ class Compactor:
         self._chaos_step("warm-merge:apply")
         self._splice(shard, inputs, merged)
 
+    def _write_segment(self, shard: "_Shard", op: str, segment_id: int,
+                       rows: Tuple, stats: Optional[SegmentStats]) \
+            -> Tuple[str, ColdSegment]:
+        """Write one cold segment (``rows``: :func:`_write_cold_files`'
+        data arguments), checksum every file into its manifest and
+        ``os.replace`` it into place; returns its name and the live
+        segment, which adopts the Bloom-less ``stats`` it wrote."""
+        name = f"seg-{segment_id:08d}"
+        target = shard.spill_dir / name
+        tmp = shard.spill_dir / f"{name}.tmp-{os.getpid()}"
+        if tmp.exists():
+            shutil.rmtree(tmp)
+        tmp.mkdir(parents=True)
+        self._chaos_step(f"{op}:write:columns")
+        manifest = _write_cold_files(tmp, segment_id, *rows)
+        self._chaos_step(f"{op}:write:stats")
+        if stats is not None:   # as a read of the file will return it
+            stats = SegmentStats(stats.n, {
+                fld: dataclasses.replace(c, bloom=None)
+                for fld, c in stats.columns.items()})
+            (tmp / STATS_NAME).write_text(json.dumps(_stats_to_json(stats)))
+        self._chaos_step(f"{op}:write:manifest")
+        files = sorted(p.name for p in tmp.iterdir())
+        manifest["bytes"] = sum((tmp / f).stat().st_size for f in files)
+        manifest["checksums"] = {f: _sha256(tmp / f) for f in files}
+        (tmp / SEGMENT_MANIFEST).write_text(json.dumps(manifest, indent=2))
+        self._chaos_step(f"{op}:swap")
+        if target.exists():
+            shutil.rmtree(target)   # unregistered leftover of a past crash
+        os.replace(tmp, target)
+        segment = ColdSegment(target)
+        segment.adopt_stats(stats)
+        return name, segment
+
     def _spill(self, shard: "_Shard", segment: PacketSegment) -> None:
         """Age one warm segment into the cold on-disk format.
 
@@ -826,33 +863,15 @@ class Compactor:
         the next attempt or reopen clears).
         """
         self._chaos_step("spill:plan")
-        name = f"seg-{segment.segment_id:08d}"
-        target = shard.spill_dir / name
-        tmp = shard.spill_dir / f"{name}.tmp-{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        self._chaos_step("spill:write:columns")
-        cols, rids, metas = _sorted_cold_rows(segment)
-        manifest = _write_cold_files(tmp, segment.segment_id, cols, rids,
-                                     metas)
-        self._chaos_step("spill:write:stats")
-        stats = segment.stats()
-        if stats is None:
-            stats = segment.build_stats()
-        (tmp / STATS_NAME).write_text(json.dumps(_stats_to_json(stats)))
-        self._chaos_step("spill:write:manifest")
-        _finish_manifest(tmp, manifest)
-        self._chaos_step("spill:swap")
-        if target.exists():
-            shutil.rmtree(target)   # unregistered leftover of a past crash
-        os.replace(tmp, target)
+        name, spilled = self._write_segment(
+            shard, "spill", segment.segment_id, _sorted_cold_rows(segment),
+            segment.stats() or segment.build_stats())
         self._chaos_step("spill:registry")
         _, _, cold = shard.tiers()
         self.store._write_registry(
             shard, [c.directory.name for c in cold] + [name])
         self._chaos_step("spill:apply")
-        self._splice(shard, [segment], ColdSegment(target))
+        self._splice(shard, [segment], spilled)
 
     def _cold_merge(self, shard: "_Shard",
                     inputs: List[ColdSegment]) -> None:
@@ -865,40 +884,17 @@ class Compactor:
         orphans the next reopen clears.
         """
         self._chaos_step("cold-merge:plan")
-        segment_id = next(self.store._segment_ids)
-        name = f"seg-{segment_id:08d}"
-        target = shard.spill_dir / name
-        tmp = shard.spill_dir / f"{name}.tmp-{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        self._chaos_step("cold-merge:write:columns")
-        cols, rids, payloads, metas = _merge_cold_rows(inputs)
-        manifest = _write_cold_files(tmp, segment_id, cols, rids, metas,
-                                     payloads)
-        self._chaos_step("cold-merge:write:stats")
-        stats = _merged_stats(inputs)
-        if stats is not None:
-            (tmp / STATS_NAME).write_text(
-                json.dumps(_stats_to_json(stats)))
-        self._chaos_step("cold-merge:write:manifest")
-        _finish_manifest(tmp, manifest)
-        self._chaos_step("cold-merge:swap")
-        if target.exists():
-            shutil.rmtree(target)
-        os.replace(tmp, target)
+        name, merged = self._write_segment(
+            shard, "cold-merge", next(self.store._segment_ids),
+            _merge_cold_rows(inputs), _merged_stats(inputs))
         self._chaos_step("cold-merge:registry")
-        merged_ids = {id(segment) for segment in inputs}
+        merged_ids = {id(segment) for segment in inputs[1:]}
         _, _, cold = shard.tiers()
-        dirs: List[str] = []
-        for segment in cold:
-            if segment is inputs[0]:
-                dirs.append(name)
-            elif id(segment) not in merged_ids:
-                dirs.append(segment.directory.name)
-        self.store._write_registry(shard, dirs)
+        self.store._write_registry(shard, [
+            name if segment is inputs[0] else segment.directory.name
+            for segment in cold if id(segment) not in merged_ids])
         self._chaos_step("cold-merge:apply")
-        self._splice(shard, inputs, ColdSegment(target))
+        self._splice(shard, inputs, merged)
         self._chaos_step("cold-merge:cleanup")
         for segment in inputs:
             shutil.rmtree(segment.directory, ignore_errors=True)

@@ -1,11 +1,13 @@
 """Property: a cold segment's bulk row materializer equals a per-row oracle.
 
 ``ColdSegment.stored_at`` gathers each column once and parses the
-distinct selected meta rows as one JSON array.  Whatever positions it is
-handed (none, one row, every row, any ascending subset), the rows it builds
-must equal — value and type, field by field — the rows a one-at-a-time
-reader gets from ``PacketColumns.record`` plus ``json.loads`` of the
-row's meta bytes.
+distinct selected (tag set, label) pairs as one JSON array.  Whatever
+positions it is handed (none, one row, every row, any ascending
+subset), the rows it builds must equal — value and type, field by
+field — the rows a one-at-a-time reader gets from
+``PacketColumns.record`` plus ``json.loads`` of the row's entry in the
+segment's pair blob, and those tags and labels must be the ones the
+rows were ingested and curated with.
 """
 
 import json
@@ -29,10 +31,10 @@ LABELS = st.one_of(st.none(), st.sampled_from(["", "benign", "scan"]))
 
 
 def _oracle(segment, position: int) -> StoredRecord:
-    meta = json.loads(segment.meta_blob[position])
+    pair = json.loads(segment.pair_blob[int(segment.pair_codes[position])])
     return StoredRecord(rid=int(segment.rids[position]),
                         record=segment.columns().record(position),
-                        tags=meta["t"] or {}, label=meta["l"])
+                        tags=pair["t"], label=pair["l"])
 
 
 def _typed(stored: StoredRecord):
@@ -53,12 +55,20 @@ def test_stored_at_matches_per_row_oracle(packets, memtable, data):
             policy=TierPolicy(memtable_records=memtable, warm_fanin=2,
                               warm_max_segments=1, cold_fanin=2),
             spill_dir=tmp)
-        store.add_ingest_transform(
-            lambda _, record, tags: (record, data.draw(TAGS)))
+        drawn = []
+
+        def tag(_, record, tags):
+            drawn.append(data.draw(TAGS))
+            return record, drawn[-1]
+
+        store.add_ingest_transform(tag)
         store.ingest_packets(packets)
         rids = [rid for segment in store.segments("packets")
                 for rid in segment.rids.tolist()]
-        label_by_rid(store, {rid: data.draw(LABELS) for rid in rids})
+        labels = {rid: data.draw(LABELS) for rid in rids}
+        label_by_rid(store, labels)
+        # rids count from 1 in ingest order, as the transform saw rows
+        ingested = {rid: (drawn[rid - 1], labels[rid]) for rid in rids}
         store.flush_to_cold()
         store.compactor.run()
         _, warm, cold = store.tier_segments()
@@ -74,11 +84,15 @@ def test_stored_at_matches_per_row_oracle(packets, memtable, data):
                 expected = [_oracle(segment, p) for p in positions]
                 assert [_typed(s) for s in built] == \
                     [_typed(s) for s in expected]
-                # rows sharing a meta value still own their tag dicts
+                # rows sharing a pair code still own their tag dicts
                 assert len({id(s.tags) for s in built}) == len(built)
             # the records facade goes through the same materializer
             assert [_typed(s) for s in segment.records] == \
                 [_typed(_oracle(segment, p)) for p in range(n)]
+            # the pair blob holds what each row was ingested and
+            # curated with
+            assert [(s.tags, s.label) for s in segment.records] == \
+                [ingested[s.rid] for s in segment.records]
             assert _typed(segment.records[-1]) == \
                 _typed(_oracle(segment, n - 1))
     finally:

@@ -201,8 +201,9 @@ def test_worker_processes_featurize_compacted_store_like_flat_store(
 
 
 def test_cold_segment_meta_decoded_once_per_featurize(tmp_path, monkeypatch):
-    """Tags and curated labels of a cold segment come from one pass over
-    its meta blob, and the featurized Dataset is the flat store's."""
+    """Tags and curated labels of a cold segment come from its pair-code
+    column and one read of its pair blob, and the featurized Dataset is
+    the flat store's."""
     rng = np.random.default_rng(5)
     packets = [PacketRecord(
         timestamp=float(rng.uniform(0.0, 20.0)),
@@ -243,7 +244,7 @@ def test_cold_segment_meta_decoded_once_per_featurize(tmp_path, monkeypatch):
     monkeypatch.setattr(tiers._BlobColumn, "rows", counted)
     featurizer = SourceWindowFeaturizer(FeatureConfig(window_s=WINDOW_S))
     _assert_featurizes_like_flat(featurizer, tiered, flat)
-    metas = [id(segment.meta_blob) for segment in cold]
+    pairs = [id(segment.pair_blob) for segment in cold]
     reads.clear()
     assert featurizer.examples_merged(tiered) is not None
-    assert sorted(r for r in reads if r in metas) == sorted(metas)
+    assert sorted(r for r in reads if r in pairs) == sorted(pairs)
