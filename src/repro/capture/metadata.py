@@ -26,7 +26,7 @@ from repro.netsim.packets import (
     Protocol,
     u32_to_ip,
 )
-from repro.netsim.traffic.payloads import decode_dns_qname
+from repro.netsim.traffic.payloads import parse_dns_qname
 
 _BATCH_CACHE_LIMIT = 1 << 18
 
@@ -315,18 +315,13 @@ class MetadataExtractor:
             return tags
         flags = struct.unpack(">H", payload[2:4])[0]
         tags["dns_qr"] = "response" if flags & 0x8000 else "query"
-        qname = decode_dns_qname(payload)
+        qname, end = parse_dns_qname(payload)
         if qname:
             tags["dns_qname"] = qname
         # QTYPE follows the qname; ANY (255) marks amplification abuse.
-        try:
-            i = 12
-            while i < len(payload) and payload[i] != 0:
-                i += payload[i] + 1
-            qtype = struct.unpack(">H", payload[i + 1:i + 3])[0]
+        if end is not None and end + 2 <= len(payload):
+            qtype = struct.unpack(">H", payload[end:end + 2])[0]
             tags["dns_qtype"] = "ANY" if qtype == 255 else str(qtype)
-        except (struct.error, IndexError):
-            pass
         ancount = struct.unpack(">H", payload[6:8])[0]
         tags["dns_answers"] = str(ancount)
         return tags

@@ -4,7 +4,8 @@ Packet-level simulation of a 10 Gbps campus border is infeasible in
 pure Python, so the simulator uses the standard fluid abstraction: each
 flow transfers bytes at a rate decided by **progressive-filling max-min
 fairness** across the links on its path, re-computed whenever the set
-of active flows changes.  Packet records are synthesized afterwards
+of active flows changes (:func:`repro.netsim.fluid.weighted_max_min`).
+Packet records are synthesized afterwards
 (:mod:`repro.netsim.packets`), preserving per-flow byte counts and
 timing, which is all the capture substrate observes.
 
@@ -18,43 +19,18 @@ Invariants (property-tested in ``tests/netsim/test_fairness.py``):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.netsim.fluid import weighted_max_min
 from repro.netsim.links import Link, LinkTable
 from repro.netsim.packets import FiveTuple, Protocol
 from repro.netsim.simulator import EventHandle, Simulator
 
 RATE_EPSILON = 1e-9
 BYTES_EPSILON = 0.5
-
-
-def rate_curve(starts, ends, sizes, bin_seconds: float,
-               t0: float, t1: float) -> np.ndarray:
-    """Aggregate byte rate per time bin from per-flow (start, end, bytes).
-
-    Each flow's bytes are spread uniformly across its lifetime (the
-    fluid abstraction) and accumulated into ``[t0, t1)`` bins of
-    ``bin_seconds``.  This is the common yardstick the equivalence
-    suite uses to compare the discrete engine's completed flows with
-    the fluid engine's tap output: both reduce to the same curve.
-    """
-    starts = np.asarray(starts, dtype=np.float64)
-    ends = np.asarray(ends, dtype=np.float64)
-    sizes = np.asarray(sizes, dtype=np.float64)
-    n_bins = max(int(math.ceil((t1 - t0) / bin_seconds)), 1)
-    curve = np.zeros(n_bins)
-    durations = np.maximum(ends - starts, 1e-9)
-    edges = t0 + np.arange(n_bins + 1) * bin_seconds
-    for b in range(n_bins):
-        overlap = (np.minimum(ends, edges[b + 1])
-                   - np.maximum(starts, edges[b]))
-        overlap = np.maximum(overlap, 0.0)
-        curve[b] = float(np.sum(sizes * overlap / durations))
-    return curve / bin_seconds
 
 
 @dataclass
@@ -152,6 +128,8 @@ class FluidFlowNetwork:
         #: flows refused admission by a drop policer (zero bytes moved);
         #: kept for collateral-damage accounting.
         self.blocked_flows: List[Flow] = []
+        #: links that carried an active flow at the last reallocation
+        self._loaded_links: Dict[Link, None] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -242,85 +220,36 @@ class FluidFlowNetwork:
         return any(cap is None and predicate(flow)
                    for predicate, cap in self._policers)
 
-    def _effective_cap(self, flow: Flow) -> Optional[float]:
-        cap = flow.rate_cap_bps
+    def _effective_cap(self, flow: Flow) -> float:
+        cap = np.inf if flow.rate_cap_bps is None else flow.rate_cap_bps
         for predicate, policer_cap in self._policers:
             if policer_cap is not None and predicate(flow):
-                cap = policer_cap if cap is None else min(cap, policer_cap)
+                cap = min(cap, policer_cap)
         return cap
 
     def _reallocate(self) -> None:
-        """Progressive-filling max-min fair allocation."""
+        """One unit-weight column per active flow with its cap as demand,
+        one row per loaded link."""
         now = self.simulator.now
         flows = list(self.active.values())
-        rates = {f.flow_id: 0.0 for f in flows}
-        unfrozen: Set[int] = set(rates)
-
-        # Freeze capped flows whose cap is below any attainable share up
-        # front is incorrect in general; instead run progressive filling
-        # where at each round the binding constraint is either a link
-        # fair share or a flow cap, whichever is smallest.
-        link_capacity = {link.key: link.capacity_bps for link in self.links}
-        flow_links = {
-            f.flow_id: [link.key for link in self.links.links_on_path(f.path)]
-            for f in flows
-        }
-        caps = {f.flow_id: self._effective_cap(f) for f in flows}
-
-        while unfrozen:
-            # Fair share each link could still add per unfrozen flow.
-            best_increment = None
-            for link in self.links:
-                crossing = [fid for fid in link.active_flows if fid in unfrozen]
-                if not crossing:
-                    continue
-                increment = link_capacity[link.key] / len(crossing)
-                if best_increment is None or increment < best_increment:
-                    best_increment = increment
-            # Binding flow caps can be tighter than any link share.
-            cap_bound = None
-            for fid in unfrozen:
-                cap = caps[fid]
-                if cap is None:
-                    continue
-                headroom = cap - rates[fid]
-                if cap_bound is None or headroom < cap_bound:
-                    cap_bound = headroom
-            if best_increment is None and cap_bound is None:
-                break
-            if best_increment is None or (
-                cap_bound is not None and cap_bound < best_increment
-            ):
-                increment = max(cap_bound, 0.0)
-                rates_to_freeze = {
-                    fid for fid in unfrozen
-                    if caps[fid] is not None
-                    and caps[fid] - rates[fid] <= increment + RATE_EPSILON
-                }
-            else:
-                increment = best_increment
-                rates_to_freeze = set()
-            for fid in unfrozen:
-                rates[fid] += increment
-            for link in self.links:
-                crossing = [fid for fid in link.active_flows if fid in unfrozen]
-                if crossing:
-                    link_capacity[link.key] -= increment * len(crossing)
-                    if link_capacity[link.key] <= RATE_EPSILON:
-                        rates_to_freeze.update(crossing)
-                        link_capacity[link.key] = 0.0
-            if not rates_to_freeze:
-                # Numerical corner: freeze everything to guarantee progress.
-                rates_to_freeze = set(unfrozen)
-            unfrozen -= rates_to_freeze
-
-        for flow in flows:
-            flow.current_rate_bps = rates[flow.flow_id]
-        for link in self.links:
-            aggregate = sum(
-                rates[fid] for fid in link.active_flows if fid in rates
-            )
-            link.set_rate(now, aggregate)
+        column = {flow_id: i for i, flow_id in enumerate(self.active)}
+        loaded = dict.fromkeys(link for flow in flows
+                               for link in self.links.links_on_path(flow.path))
+        membership = np.zeros((len(loaded), len(flows)), dtype=bool)
+        for row, link in enumerate(loaded):
+            membership[row, [column[fid] for fid in link.active_flows]] = True
+        demand = np.array([self._effective_cap(f) for f in flows], np.float64)
+        rates = weighted_max_min(demand, np.ones(len(flows)), membership, [
+            link.capacity_bps for link in loaded]).tolist()
+        for flow, rate in zip(flows, rates):
+            flow.current_rate_bps = rate
+        for link in loaded:
+            link.set_rate(now, sum(rates[column[fid]]
+                                   for fid in link.active_flows))
+        # Emptied links drop to 0; idle ones need no call (adds 0.0 bytes).
+        for link in self._loaded_links.keys() - loaded.keys():
+            link.set_rate(now, 0.0)
+        self._loaded_links = loaded
         self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:

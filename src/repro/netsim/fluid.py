@@ -22,8 +22,8 @@ sees rather than campus size:
 3. **Fluid demand**: class byte backlogs push demand through an
    aggregated link set (department distribution links, the core, the
    border uplink) under weighted progressive-filling max-min sharing —
-   the population analog of the per-flow allocator in
-   :mod:`repro.netsim.flows`.
+   :func:`weighted_max_min`, which the per-flow discrete engine
+   (:mod:`repro.netsim.flows`) calls too.
 4. **Tap-side synthesis**: packets exist *only* at the border tap.
    Sampled border-crossing flows are expanded straight into
    :class:`~repro.netsim.packets.PacketColumns` struct-of-arrays
@@ -179,11 +179,11 @@ def weighted_max_min(demand: np.ndarray, weights: np.ndarray,
                      capacity: np.ndarray) -> np.ndarray:
     """Weighted progressive-filling max-min allocation.
 
-    The population analog of
-    :meth:`repro.netsim.flows.FluidFlowNetwork._reallocate`: classes
-    (rows of ``membership.T``) share links (rows of ``membership``)
-    with per-class demands; ``weights`` carries each class's active
-    flow count so fairness is per *flow*, not per class.  Invariants
+    The allocator of both traffic engines: classes (rows of
+    ``membership.T``) share links (rows of ``membership``) with per-class
+    demands; ``weights`` carries each class's flow count so fairness is
+    per *flow* (the discrete engine, :mod:`repro.netsim.flows`, passes
+    one unit-weight class per flow with its rate cap as demand).  Invariants
     (property-tested): no link over capacity, no class over demand, a
     class below demand is bottlenecked on a saturated link.
 

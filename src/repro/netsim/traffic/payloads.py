@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import List
+from typing import List, Optional, Tuple
 
 _DOMAINS = [
     "www.example.edu", "lms.campus.edu", "mail.campus.edu", "cdn.video.net",
@@ -53,18 +53,28 @@ def encode_dns_qname(domain: str) -> bytes:
     return out + b"\x00"
 
 
-def decode_dns_qname(payload: bytes, offset: int = 12) -> str:
-    """Best-effort decode of the question name from a DNS message."""
-    labels = []
-    i = offset
-    while i < len(payload):
+def parse_dns_qname(payload: bytes,
+                    offset: int = 12) -> Tuple[str, Optional[int]]:
+    """Best-effort question name of a DNS message and the offset of its
+    QTYPE (``None`` if the name does not end well).  RFC 1035 bounds the
+    walk: it stops at a length octet above 63 (a two-octet compression
+    pointer, or a reserved form) and before the name passes 255 octets."""
+    labels, i = [], offset
+    while i < len(payload) and payload[i] <= 63:
         length = payload[i]
         if length == 0:
-            break
-        i += 1
-        labels.append(payload[i:i + length].decode("ascii", errors="replace"))
-        i += length
-    return ".".join(labels)
+            return ".".join(labels), i + 1
+        if i + length + 2 - offset > 255:
+            return ".".join(labels), None
+        labels.append(payload[i + 1:i + 1 + length].decode("ascii", "replace"))
+        i += 1 + length
+    pointer = i + 2 <= len(payload) and payload[i] >= 0xC0
+    return ".".join(labels), i + 2 if pointer else None
+
+
+def decode_dns_qname(payload: bytes, offset: int = 12) -> str:
+    """Best-effort decode of the question name from a DNS message."""
+    return parse_dns_qname(payload, offset)[0]
 
 
 def dns_query_payload(flow, index: int, direction: str) -> bytes:

@@ -1,6 +1,8 @@
 """On-the-fly metadata extraction."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
 from repro.netsim import make_campus
@@ -43,6 +45,26 @@ def test_dns_query_tags(extractor):
     assert tags["dns_qr"] == "query"
     assert "dns_qname" in tags
     assert tags["service"] == "dns"
+
+
+#: 0-3,000-byte payloads: hypothesis' own (zero-heavy, shrinkable) and
+#: uniformly random ones from a seed, which hypothesis rarely builds
+_PAYLOADS = st.one_of(
+    st.binary(max_size=3_000),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3_000)).map(
+        lambda seed_n: np.random.default_rng(seed_n[0]).bytes(seed_n[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS, st.booleans())
+def test_random_port53_payload_qname_is_bounded(payload, to_resolver):
+    """A port-53 payload that is not DNS yields no name longer than the
+    253 characters RFC 1035 allows."""
+    sport, dport = (40000, 53) if to_resolver else (53, 40000)
+    tags = MetadataExtractor().extract(
+        _packet(payload, sport=sport, dport=dport, proto=17))
+    assert not payload or tags["app_proto"] == "dns"
+    assert len(tags.get("dns_qname", "")) <= 253
 
 
 def test_dns_any_response_tags(extractor):

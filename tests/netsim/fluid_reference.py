@@ -7,7 +7,15 @@ Same signatures and return types, so a test can compare outputs byte
 for byte: the production kernels reorder the work but must not move a
 single bit.  Like ``exact_draw.py`` these define semantics only; they
 are slower and nothing in the package calls them.
+
+Two more yardsticks live here for the same reason:
+:func:`reference_progressive_filling` is the discrete engine's own
+dict-and-set max-min loop from before it shared ``weighted_max_min``,
+and :func:`rate_curve` reduces either engine's flows to one byte-rate
+curve for the equivalence suite.
 """
+
+import math
 
 import numpy as np
 
@@ -58,6 +66,110 @@ def reference_weighted_max_min(demand, weights, membership, capacity):
         active &= ~frozen
         active_weight[frozen] = 0.0
     return alloc
+
+
+#: the discrete engine's saturation epsilon (bps) in the loop below;
+#: ``weighted_max_min`` freezes a link at ``fluid.RATE_EPSILON`` (1e-6).
+FLOW_RATE_EPSILON = 1e-9
+
+
+def reference_progressive_filling(flow_ids, caps, link_capacities,
+                                  crossing_sets):
+    """The discrete engine's progressive filling, on plain inputs.
+
+    ``caps[i]`` is flow ``flow_ids[i]``'s rate cap (``None`` = uncapped);
+    link ``j`` has ``link_capacities[j]`` bps and carries the flow ids in
+    ``crossing_sets[j]`` (iterated in set order, as the engine's
+    ``link.active_flows``).  Returns ``({flow_id: rate}, forced)``:
+    ``forced`` says the numerical-corner branch froze every unfrozen
+    flow at once.  That branch fires when the binding link ends a round
+    with rounding residue above ``FLOW_RATE_EPSILON`` (a few ulps of a
+    Gb/s capacity are ~1e-7 bps), and it then freezes flows that other
+    links would still let grow, so its answer is not max-min fair.
+    """
+    forced = False
+    rates = {fid: 0.0 for fid in flow_ids}
+    unfrozen = set(rates)
+    caps = dict(zip(flow_ids, caps))
+    link_capacity = list(link_capacities)
+
+    # Freeze capped flows whose cap is below any attainable share up
+    # front is incorrect in general; instead run progressive filling
+    # where at each round the binding constraint is either a link
+    # fair share or a flow cap, whichever is smallest.
+    while unfrozen:
+        # Fair share each link could still add per unfrozen flow.
+        best_increment = None
+        for j, active_flows in enumerate(crossing_sets):
+            crossing = [fid for fid in active_flows if fid in unfrozen]
+            if not crossing:
+                continue
+            increment = link_capacity[j] / len(crossing)
+            if best_increment is None or increment < best_increment:
+                best_increment = increment
+        # Binding flow caps can be tighter than any link share.
+        cap_bound = None
+        for fid in unfrozen:
+            cap = caps[fid]
+            if cap is None:
+                continue
+            headroom = cap - rates[fid]
+            if cap_bound is None or headroom < cap_bound:
+                cap_bound = headroom
+        if best_increment is None and cap_bound is None:
+            break
+        if best_increment is None or (
+            cap_bound is not None and cap_bound < best_increment
+        ):
+            increment = max(cap_bound, 0.0)
+            rates_to_freeze = {
+                fid for fid in unfrozen
+                if caps[fid] is not None
+                and caps[fid] - rates[fid] <= increment + FLOW_RATE_EPSILON
+            }
+        else:
+            increment = best_increment
+            rates_to_freeze = set()
+        for fid in unfrozen:
+            rates[fid] += increment
+        for j, active_flows in enumerate(crossing_sets):
+            crossing = [fid for fid in active_flows if fid in unfrozen]
+            if crossing:
+                link_capacity[j] -= increment * len(crossing)
+                if link_capacity[j] <= FLOW_RATE_EPSILON:
+                    rates_to_freeze.update(crossing)
+                    link_capacity[j] = 0.0
+        if not rates_to_freeze:
+            # Numerical corner: freeze everything to guarantee progress.
+            rates_to_freeze = set(unfrozen)
+            forced = True
+        unfrozen -= rates_to_freeze
+    return rates, forced
+
+
+def rate_curve(starts, ends, sizes, bin_seconds: float,
+               t0: float, t1: float) -> np.ndarray:
+    """Aggregate byte rate per time bin from per-flow (start, end, bytes).
+
+    Each flow's bytes are spread uniformly across its lifetime (the
+    fluid abstraction) and accumulated into ``[t0, t1)`` bins of
+    ``bin_seconds``.  This is the common yardstick the equivalence
+    suite uses to compare the discrete engine's completed flows with
+    the fluid engine's tap output: both reduce to the same curve.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    n_bins = max(int(math.ceil((t1 - t0) / bin_seconds)), 1)
+    curve = np.zeros(n_bins)
+    durations = np.maximum(ends - starts, 1e-9)
+    edges = t0 + np.arange(n_bins + 1) * bin_seconds
+    for b in range(n_bins):
+        overlap = (np.minimum(ends, edges[b + 1])
+                   - np.maximum(starts, edges[b]))
+        overlap = np.maximum(overlap, 0.0)
+        curve[b] = float(np.sum(sizes * overlap / durations))
+    return curve / bin_seconds
 
 
 def _expand_direction(spec, direction, max_packets):

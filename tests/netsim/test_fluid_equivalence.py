@@ -10,10 +10,10 @@ runs, not statistical tests that can flake.
 import numpy as np
 import pytest
 
-from repro.netsim.flows import rate_curve
 from repro.netsim.fluid import FluidConfig, FluidTrafficEngine
 from repro.netsim.network import CampusNetwork
 from repro.netsim.topology import TopologySpec, build_campus_topology
+from tests.netsim.fluid_reference import rate_curve
 
 SEED = 3
 N_USERS = 120

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.netsim.flows import Flow
 from repro.netsim.packets import FiveTuple, Protocol
@@ -21,6 +22,7 @@ from repro.netsim.traffic.payloads import (
     dns_query_payload,
     encode_dns_qname,
     http_payload,
+    parse_dns_qname,
     ssh_payload,
     tls_payload,
 )
@@ -75,6 +77,29 @@ def test_video_is_rate_capped(rng):
 def test_dns_qname_roundtrip():
     wire = encode_dns_qname("lms.campus.edu")
     assert decode_dns_qname(b"\x00" * 12 + wire) == "lms.campus.edu"
+
+
+_LABELS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
+                  min_size=1, max_size=63)
+
+
+@given(st.lists(_LABELS, min_size=1, max_size=8).map(".".join)
+       .filter(lambda name: len(name) <= 253))
+def test_dns_qname_roundtrip_any_valid_name(name):
+    """Every name within RFC 1035's bounds decodes unchanged, and the
+    walk ends where QTYPE starts."""
+    wire = encode_dns_qname(name)
+    assert parse_dns_qname(b"\x00" * 12 + wire + b"\x00\xff") == \
+        (name, 12 + len(wire))
+
+
+def test_dns_qname_walk_stops_at_pointers_and_bounds():
+    header = b"\x00" * 12
+    assert parse_dns_qname(header + b"\x03www\xc0\x0c\x00\x01") == \
+        ("www", 18)                                  # pointer: 2 octets
+    assert parse_dns_qname(header + b"\x03www\x80abc") == ("www", None)
+    name, end = parse_dns_qname(header + (b"\x3f" + b"a" * 63) * 5)
+    assert end is None and len(name) == 3 * 63 + 2  # a 4th label: > 255
 
 
 def test_dns_query_and_response_payloads():
