@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,8 +110,9 @@ _WELL_KNOWN_ARR = np.array(sorted(WELL_KNOWN), dtype=np.float64)
 # The vectorized featurize path reduces every segment's column block
 # independently with the records-free _block_examples — in a worker
 # process or serially — and one parent-side merge sums the partial
-# aggregates and orders groups by their smallest record id
-# (SourceWindowFeaturizer.examples_merged).  Everything a block needs
+# aggregates, orders groups by their smallest record id and builds the
+# Dataset from the merged counter matrix
+# (SourceWindowFeaturizer._dataset_from_partials).  Everything a block needs
 # from the stored records — record ids, DNS tag verdicts, curated
 # labels — is precomputed by the parent into flat arrays and shipped
 # with the block.
@@ -129,6 +129,33 @@ def _min_per_group(inv, n_groups, values) -> np.ndarray:
     out = np.full(n_groups, _NO_RID, dtype=np.uint64)
     np.minimum.at(out, inv, values)
     return out
+
+
+def _feature_matrix(counts, n_dsts, n_dports, window_s) -> np.ndarray:
+    """``FEATURE_NAMES`` rows from ``_COUNTERS`` columns and distinct
+    destination/port counts: :meth:`WindowExample.vector`, bit for bit
+    (integer counters convert to float exactly below 2**53)."""
+    (pkts, nbytes, udp, dns, dns_resp, dns_any, syns, bytes_in,
+     bytes_out, ttl_sum, port53_src, wellknown) = \
+        np.asarray(counts, dtype=float).reshape(-1, len(_COUNTERS)).T
+    per_pkt = np.maximum(pkts, 1.0)
+    per_dns = np.maximum(dns, 1.0)
+    return np.stack([
+        pkts, nbytes, nbytes / per_pkt, udp / per_pkt, dns / per_pkt,
+        dns_resp / per_dns, dns_any / per_dns,
+        np.asarray(n_dsts, dtype=float), np.asarray(n_dports, dtype=float),
+        syns / per_pkt, bytes_in / (bytes_out + 1.0), ttl_sum / per_pkt,
+        port53_src / per_pkt, wellknown / per_pkt, pkts / window_s,
+    ], axis=1)
+
+
+def _class_names(ground_truth, voted: Iterable[str]) -> List[str]:
+    labels = {"benign"}
+    if ground_truth is not None:
+        labels |= {w.label for w in ground_truth.windows}
+    else:
+        labels |= set(voted)
+    return sorted(labels)
 
 
 def _block_examples(cols, time_range, window_s, use_payload, rids,
@@ -148,8 +175,9 @@ def _block_examples(cols, time_range, window_s, use_payload, rids,
     group ``g``: the packed ``(window index + 2**31) << 32 | endpoint``
     keys, the ``_COUNTERS`` as int64 columns, each group's smallest
     record id, the distinct inbound ``g << 32 | dst`` and
-    ``g << 16 | dport`` pairs, and ``(g, label, smallest rid, count)``
-    per distinct non-benign label vote.
+    ``g << 16 | dport`` pairs, and ``votes``: the groups, labels,
+    smallest rids and counts of each distinct non-benign
+    ``(g, label)`` vote, as four parallel sequences.
     """
     if not isinstance(cols.src_ip, np.ndarray) \
             or not isinstance(cols.dst_ip, np.ndarray):
@@ -239,11 +267,10 @@ def _block_examples(cols, time_range, window_s, use_payload, rids,
     rows = np.flatnonzero(votable[label])
     pairs, pair_inv = np.unique(inv[rows] * len(names) + label[rows],
                                 return_inverse=True)
-    votes = list(zip(
-        (pairs // len(names)).tolist(),
-        [names[i] for i in (pairs % len(names)).tolist()],
-        _min_per_group(pair_inv, len(pairs), row_rids[rows]).tolist(),
-        np.bincount(pair_inv, minlength=len(pairs)).tolist()))
+    votes = (pairs // len(names),
+             [names[i] for i in (pairs % len(names)).tolist()],
+             _min_per_group(pair_inv, len(pairs), row_rids[rows]),
+             np.bincount(pair_inv, minlength=len(pairs)))
     return (keys, counts, _min_per_group(inv, n_groups, row_rids),
             dsts, dports, votes)
 
@@ -335,18 +362,13 @@ class SourceWindowFeaturizer:
         curated label votes (majority non-benign label, if any).
         """
         if class_names is None:
-            labels = {"benign"}
-            if ground_truth is not None:
-                labels |= {w.label for w in ground_truth.windows}
-            else:
-                for example in examples:
-                    labels |= set(example.label_votes)
-            class_names = sorted(labels)
+            class_names = _class_names(ground_truth, (
+                label for example in examples
+                for label in example.label_votes))
         class_index = {name: i for i, name in enumerate(class_names)}
 
-        X, y, keys = [], [], []
+        y, keys = [], []
         for example in examples:
-            X.append(example.vector(self.config.window_s))
             label = "benign"
             if ground_truth is not None:
                 mid = example.window_start + self.config.window_s / 2.0
@@ -360,11 +382,12 @@ class SourceWindowFeaturizer:
                             key=example.label_votes.get)
             y.append(class_index.get(label, class_index.get("benign", 0)))
             keys.append((example.window_start, example.endpoint))
-        if not X:
-            X = np.zeros((0, len(FEATURE_NAMES)))
-            y = np.zeros((0,), dtype=int)
-        return Dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=int),
-                       list(FEATURE_NAMES), class_names, keys=keys)
+        X = _feature_matrix(
+            [[getattr(e, name) for name in _COUNTERS] for e in examples],
+            [len(e.dsts) for e in examples],
+            [len(e.dports) for e in examples], self.config.window_s)
+        return Dataset(X, np.asarray(y, dtype=int), list(FEATURE_NAMES),
+                       class_names, keys=keys)
 
     # -- store-driven extraction ----------------------------------------------
 
@@ -379,20 +402,23 @@ class SourceWindowFeaturizer:
         or restored by import), which is how a standalone exported
         store stays trainable.
 
-        Aggregation runs vectorized per segment and merges on record
-        ids (:meth:`examples_merged`; in worker processes when
+        Aggregation runs vectorized per segment, and the Dataset is
+        built from the merged counter matrix
+        (:meth:`_dataset_from_partials`; in worker processes when
         ``executor`` has live workers).  When any segment resists
         vectorization it falls back to the record-at-a-time reference
-        (:meth:`examples_from_records`).  Either way the examples, their
-        order and their label-vote order are those of a flat store fed
-        the same batches: independent of segment layout, compaction,
-        shard count and worker count.
+        (:meth:`examples_from_records` and :meth:`to_dataset`).  Either
+        way the rows, their order and their labels are those of a flat
+        store fed the same batches: independent of segment layout,
+        compaction, shard count and worker count.
         """
-        examples = self.examples_merged(store, time_range, executor=executor)
-        if examples is None:
-            examples = self.examples_from_records(store, time_range)
-        return self.to_dataset(examples, ground_truth=ground_truth,
-                               class_names=class_names)
+        partials = self._partials(store, time_range, executor)
+        if partials is None:
+            return self.to_dataset(
+                self.examples_from_records(store, time_range),
+                ground_truth=ground_truth, class_names=class_names)
+        return self._dataset_from_partials(partials, ground_truth,
+                                           class_names)
 
     def examples_from_records(self, store,
                               time_range: Optional[Tuple] = None) \
@@ -437,20 +463,11 @@ class SourceWindowFeaturizer:
             curated_values = list(values)
         return (rids, resp, anyq, tagged, curated_codes, curated_values)
 
-    def examples_merged(self, store, time_range: Optional[Tuple] = None,
-                        executor=None) -> Optional[List[WindowExample]]:
-        """Per-segment vectorized aggregation merged on record ids.
-
-        Each segment's column block is reduced by :func:`_block_examples`
-        — in worker processes when ``executor`` has live workers,
-        serially otherwise — and the partials are summed per (window,
-        endpoint) group.  Groups come out in order of their smallest
-        record id and each group's label votes in order of their
-        smallest record id, exactly as :meth:`examples_from_records`
-        visits records, whatever the segment layout.
-
-        Returns None when any segment resists columnar processing.
-        """
+    def _partials(self, store, time_range, executor) -> Optional[List]:
+        """The :func:`_block_examples` partial of every segment that
+        has rows in ``time_range`` — in worker processes when
+        ``executor`` has live workers, serially otherwise — or None when
+        any segment resists columnar processing."""
         blocks = []
         for segment in store.segments("packets"):
             if not len(segment):
@@ -471,62 +488,88 @@ class SourceWindowFeaturizer:
                         for cols, aux in blocks]
         if any(p is None for p in partials):
             return None
-        partials = [p for p in partials if p]
-        if not partials:
-            return []
+        return [p for p in partials if p]
 
+    def _dataset_from_partials(self, partials, ground_truth,
+                               class_names) -> Dataset:
+        """Sum the partials per (window, endpoint) group and vectorise.
+
+        Kept groups come out in order of their smallest record id, as
+        :meth:`examples_from_records` first meets them.  A group's
+        curated label is its most voted one; on a tie, the label whose
+        first vote has the smaller record id wins, as ``max`` over the
+        record path's insertion-ordered ``label_votes`` decides.
+        """
+        if not partials:
+            return self.to_dataset([], ground_truth, class_names)
+        window_s = self.config.window_s
         keys, inv = np.unique(np.concatenate([p[0] for p in partials]),
                               return_inverse=True)
-        counts = np.zeros((len(keys), len(_COUNTERS)), dtype=np.int64)
+        n_groups = len(keys)
+        counts = np.zeros((n_groups, len(_COUNTERS)), dtype=np.int64)
         np.add.at(counts, inv, np.concatenate([p[1] for p in partials]))
         first_rid = _min_per_group(
-            inv, len(keys), np.concatenate([p[2] for p in partials]))
+            inv, n_groups, np.concatenate([p[2] for p in partials]))
         # each partial's local group index -> merged group index
-        bounds = np.cumsum([0] + [len(p[0]) for p in partials])
-        merged_index = [inv[lo:hi].astype(np.uint64)
-                        for lo, hi in zip(bounds[:-1], bounds[1:])]
+        merged_index = np.split(inv.astype(np.uint64),
+                                np.cumsum([len(p[0]) for p in partials[:-1]]))
+
+        def distinct_per_group(column, shift):
+            low = (1 << shift) - 1
+            pairs = np.unique(np.concatenate([
+                (index[p[column] >> shift] << shift) | (p[column] & low)
+                for p, index in zip(partials, merged_index)]))
+            return np.bincount((pairs >> shift).astype(np.intp),
+                               minlength=n_groups)
 
         kept = np.flatnonzero(counts[:, 0] >= self.config.min_packets)
         kept = kept[np.argsort(first_rid[kept])]
-        by_group: List[Optional[WindowExample]] = [None] * len(keys)
-        out: List[WindowExample] = []
-        for g, key, row in zip(kept.tolist(), keys[kept].tolist(),
-                               counts[kept].tolist()):
-            example = WindowExample(
-                float((key >> 32) - (1 << 31)) * window_s,
-                u32_to_ip(key & 0xFFFFFFFF), *row[:6], set(), set(),
-                *row[6:])
-            by_group[g] = example
-            out.append(example)
+        kept_keys = keys[kept]
+        window_start = ((kept_keys >> 32).astype(np.int64)
+                        - (1 << 31)).astype(float) * window_s
+        endpoints = list(map(u32_to_ip, (kept_keys & 0xFFFFFFFF).tolist()))
 
-        def merged_pairs(column, shift):
-            low = (1 << shift) - 1
-            return np.unique(np.concatenate([
-                (index[p[column] >> shift] << shift) | (p[column] & low)
-                for p, index in zip(partials, merged_index)])).tolist()
+        # merged (group, label) votes: summed counts, smallest rid
+        label_ids: Dict[str, int] = {}
+        vote_label = np.array([label_ids.setdefault(name, len(label_ids))
+                               for p in partials for name in p[5][1]],
+                              dtype=np.int64)
+        names, n_labels = list(label_ids), len(label_ids)
+        slots, slot_inv = np.unique(np.concatenate([
+            index[p[5][0]].astype(np.int64)
+            for p, index in zip(partials, merged_index)]) * n_labels
+            + vote_label, return_inverse=True)
+        slot_count = np.bincount(slot_inv, weights=np.concatenate(
+            [p[5][3] for p in partials]), minlength=len(slots))
+        slot_rid = _min_per_group(slot_inv, len(slots), np.concatenate(
+            [p[5][2] for p in partials]))
+        slot_group, slot_label = np.divmod(slots, max(n_labels, 1))
+        if class_names is None:
+            class_names = _class_names(ground_truth, (
+                names[i] for i in
+                np.unique(slot_label[np.isin(slot_group, kept)])))
+        class_index = {name: i for i, name in enumerate(class_names)}
+        benign = class_index.get("benign", 0)
 
-        for k in merged_pairs(3, 32):
-            example = by_group[k >> 32]
-            if example is not None:
-                example.dsts.add(u32_to_ip(k & 0xFFFFFFFF))
-        for k in merged_pairs(4, 16):
-            example = by_group[k >> 16]
-            if example is not None:
-                example.dports.add(k & 0xFFFF)
+        if ground_truth is not None:
+            y = np.full(len(kept), benign)
+            mid = window_start + window_s / 2.0
+            for window in reversed(ground_truth.windows):  # first one wins
+                actors = set(window.actors)
+                rows = np.flatnonzero((window.start_time <= mid)
+                                      & (mid <= window.end_time)).tolist()
+                y[[i for i in rows if endpoints[i] in actors]] = \
+                    class_index.get(window.label, benign)
+        else:
+            order = np.lexsort((slot_rid, -slot_count, slot_group))
+            top = order[np.unique(slot_group[order], return_index=True)[1]]
+            voted = np.full(n_groups, benign)
+            voted[slot_group[top]] = [class_index.get(names[i], benign)
+                                      for i in slot_label[top].tolist()]
+            y = voted[kept]
 
-        # (group, label) -> (smallest rid, count); inserting in rid order
-        # gives each group's votes the record path's insertion order.
-        votes: Dict[Tuple[int, str], Tuple[int, int]] = {}
-        for p, index in zip(partials, merged_index):
-            index = index.tolist()
-            for local, label, rid, count in p[5]:
-                slot = (index[local], label)
-                known = votes.get(slot)
-                votes[slot] = (rid, count) if known is None \
-                    else (min(known[0], rid), known[1] + count)
-        for (g, label), (_, count) in sorted(votes.items(),
-                                             key=itemgetter(1)):
-            example = by_group[g]
-            if example is not None:
-                example.label_votes[label] = count
-        return out
+        X = _feature_matrix(counts[kept],
+                            distinct_per_group(3, 32)[kept],
+                            distinct_per_group(4, 16)[kept], window_s)
+        return Dataset(X, y, list(FEATURE_NAMES), class_names,
+                       keys=list(zip(window_start.tolist(), endpoints)))

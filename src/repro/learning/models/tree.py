@@ -66,6 +66,22 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def _class_sum(columns: List[np.ndarray]) -> np.ndarray:
+    """``np.stack(columns, axis=1).sum(axis=1)``, bit for bit.
+
+    numpy adds a row of fewer than 8 items left to right, so for a few
+    classes one add per class gives the same sums without strided
+    row-by-row reductions; longer rows sum pairwise, so they stay one
+    reduction over the stacked matrix.
+    """
+    if len(columns) >= 8:
+        return np.stack(columns, axis=1).sum(axis=1)
+    total = columns[0]
+    for column in columns[1:]:
+        total = total + column
+    return total
+
+
 def _leaf_index(root: TreeNode, X: np.ndarray) \
         -> Tuple[List[TreeNode], np.ndarray]:
     """The leaves of the tree under ``root``, and for each row of ``X``
@@ -131,6 +147,13 @@ class _TreeBuilder:
               n_classes: int) -> TreeNode:
         weight = (np.ones(len(y)) if sample_weight is None
                   else np.asarray(sample_weight, dtype=float))
+        self._unit = sample_weight is None
+        # Integer weights summing below 2**53 make every class prefix
+        # sum exact, so the order of tied values cannot change the count
+        # at a distinct-value cut and any sort finds the same split.
+        self._exact = self.criterion == "gini" and bool(
+            np.array_equal(weight, np.round(weight))
+            and np.abs(weight).sum() < 2.0 ** 53)
         return self._build_node(X, y, weight, n_classes, depth=0)
 
     # -- node construction -------------------------------------------------
@@ -202,7 +225,10 @@ class _TreeBuilder:
         return best
 
     def _best_split_on_feature(self, column, y, weight, n_classes):
-        order = np.argsort(column, kind="mergesort")
+        # Fractional weights round differently in another tie order, so
+        # only exact prefix sums may use the (unstable) default sort.
+        order = np.argsort(column) if self._exact \
+            else np.argsort(column, kind="mergesort")
         xs = column[order]
         ys = y[order]
         ws = weight[order]
@@ -212,24 +238,27 @@ class _TreeBuilder:
             return None
         total_w = ws.sum()
         if self.criterion == "gini":
-            onehot = np.zeros((len(ys), n_classes))
-            onehot[np.arange(len(ys)), ys.astype(int)] = 1.0
-            onehot *= ws[:, None]
-            cum = np.cumsum(onehot, axis=0)
-            total = cum[-1]
-            left = cum[distinct - 1]
-            right = total - left
-            left_w = left.sum(axis=1)
-            right_w = right.sum(axis=1)
+            # per class, the (weighted) count left of each cut
+            cums = [np.cumsum(ys == c) if self._unit
+                    else np.cumsum(np.where(ys == c, ws, 0.0))
+                    for c in range(n_classes)]
+            total = np.array([cum[-1] for cum in cums], dtype=float)
+            left = [cum[distinct - 1].astype(float, copy=False)
+                    for cum in cums]
+            right = [t - column for t, column in zip(total, left)]
+            left_w = _class_sum(left)
+            right_w = _class_sum(right)
             valid = (left_w >= self.min_samples_leaf) & \
                     (right_w >= self.min_samples_leaf)
             if not np.any(valid):
                 return None
             with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - np.sum(
-                    (left / np.maximum(left_w[:, None], 1e-12)) ** 2, axis=1)
-                gini_right = 1.0 - np.sum(
-                    (right / np.maximum(right_w[:, None], 1e-12)) ** 2, axis=1)
+                left_n = np.maximum(left_w, 1e-12)
+                right_n = np.maximum(right_w, 1e-12)
+                gini_left = 1.0 - _class_sum(
+                    [(column / left_n) ** 2 for column in left])
+                gini_right = 1.0 - _class_sum(
+                    [(column / right_n) ** 2 for column in right])
             parent = _gini(total)
             gain = parent - (left_w * gini_left + right_w * gini_right) / total_w
         else:

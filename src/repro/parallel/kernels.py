@@ -154,7 +154,7 @@ def scatter_featurize(blocks, time_range, window_s: float, use_payload: bool,
     """Per-segment partial aggregates computed in workers.
 
     ``blocks`` is ``[(cols, aux), ...]`` as prepared by
-    :meth:`SourceWindowFeaturizer.examples_merged`; the per-row aux
+    :meth:`SourceWindowFeaturizer._partials`; the per-row aux
     arrays (record ids, DNS tag verdicts, curated label codes) ride the
     pickle channel while the columns go through shared memory.  Returns
     the per-block partial results, or None when shipping is unavailable.

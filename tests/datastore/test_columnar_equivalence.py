@@ -9,6 +9,7 @@ filters, tag filters, residual predicates and limits.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
@@ -148,16 +149,14 @@ def test_featurizer_columnar_matches_record_path(packets, window_s,
     store = build_store(packets, tagged=False, sealed=False)
     featurizer = SourceWindowFeaturizer(
         FeatureConfig(window_s=window_s, min_packets=1))
-    columnar = featurizer.examples_merged(store, time_range)
-    records = featurizer.examples_from_records(store, time_range)
-    assert columnar is not None
-    assert [(e.window_start, e.endpoint) for e in columnar] == \
-        [(e.window_start, e.endpoint) for e in records]
-    for fast, slow in zip(columnar, records):
-        assert fast.vector(window_s) == slow.vector(window_s)
-        assert fast.dsts == slow.dsts
-        assert fast.dports == slow.dports
-        assert fast.label_votes == slow.label_votes
+    assert featurizer._partials(store, time_range, None) is not None
+    got = featurizer.from_store(store, time_range=time_range)
+    want = featurizer.to_dataset(
+        featurizer.examples_from_records(store, time_range))
+    assert got.keys == want.keys
+    assert got.X.tobytes() == want.X.tobytes()
+    assert np.array_equal(got.y, want.y)
+    assert got.class_names == want.class_names
 
 
 def test_equal_timestamps_deterministic_order():

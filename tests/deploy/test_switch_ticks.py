@@ -12,13 +12,11 @@ on a replay with hours of silence in it.
 import dataclasses
 import math
 
-import numpy as np
-
 from repro.deploy.switch import EmulatedSwitch, SwitchConfig
 from repro.events import DnsAmplificationAttack, Scenario, run_scenario
 from repro.netsim import make_campus
-from repro.netsim.simulator import Simulator
 
+from tests.deploy.replay import ReplayNetwork
 from tests.deploy.test_switch import _ddos_classifier
 
 COMPILED = _ddos_classifier()
@@ -46,39 +44,6 @@ class CountingSwitch(EmulatedSwitch):
     def _tick(self):
         self.ticks += 1
         super()._tick()
-
-
-class _Replay:
-    """Time-batched delivery of recorded packets on a fresh clock."""
-
-    topology = None
-
-    def __init__(self, start_time):
-        self.simulator = Simulator(start_time=start_time)
-        self.flows = self
-        self._observers = []
-
-    @property
-    def now(self):
-        return self.simulator.now
-
-    def add_packet_observer(self, observer, link=None, links=None):
-        self._observers.append(observer)
-
-    def install_policer(self, predicate, cap_bps):
-        return lambda: None
-
-    def replay(self, packets, batch_s=1.0, drain_s=30.0):
-        times = np.array([p.timestamp for p in packets])
-        lo = 0
-        while lo < len(packets):
-            batch_end = (math.floor(times[lo] / batch_s) + 1) * batch_s
-            hi = int(np.searchsorted(times, batch_end, side="left"))
-            self.simulator.run_until(batch_end)
-            for observer in self._observers:
-                observer(packets[lo:hi])
-            lo = hi
-        self.simulator.run_until(self.simulator.now + drain_s)
 
 
 def _attack_day(switch_cls, recorded=None):
@@ -117,7 +82,7 @@ def test_replay_with_hours_of_silence_matches_every_window_ticks():
     packets = recorded + later
     outcomes = []
     for switch_cls in (CountingSwitch, EveryWindowSwitch):
-        network = _Replay(start_time=math.floor(packets[0].timestamp))
+        network = ReplayNetwork(start_time=math.floor(packets[0].timestamp))
         switch = switch_cls(network, COMPILED, SwitchConfig(**CONFIG))
         network.replay(packets)
         outcomes.append((switch, _outcome(switch)))

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.learning import features
 from repro.learning.features import (
     FEATURE_NAMES,
     FeatureConfig,
@@ -134,28 +136,30 @@ class TestColumnarFromStore:
         store.ingest_packets(packets)
         return store
 
-    def test_columnar_path_is_taken_and_equivalent(self):
+    def test_columnar_path_is_taken_and_equivalent(self, monkeypatch):
         packets = [_packet(i * 0.7, sport=53 if i % 3 else 443,
                            direction="in" if i % 2 else "out",
                            flags=int(TcpFlags.SYN) if i % 5 == 0 else 0)
                    for i in range(40)]
         store = self._store(packets)
         f = _featurizer()
-        columnar = f.examples_merged(store)
-        assert columnar is not None
-        reference = f.examples_from_records(store)
-        assert [(e.window_start, e.endpoint) for e in columnar] == \
-            [(e.window_start, e.endpoint) for e in reference]
-        for fast, slow in zip(columnar, reference):
-            assert fast.vector(5.0) == slow.vector(5.0)
+        want = f.to_dataset(f.examples_from_records(store))
+        # the columnar path builds no per-example object
+        monkeypatch.setattr(features, "WindowExample", None)
+        got = f.from_store(store)
+        assert got.keys == want.keys
+        assert got.X.tobytes() == want.X.tobytes()
+        assert np.array_equal(got.y, want.y)
 
     def test_non_canonical_ip_falls_back(self):
         packets = [_packet(0.5), _packet(1.0, src="not-an-ip")]
         store = self._store(packets)
         f = _featurizer()
-        assert f.examples_merged(store) is None
+        assert f._partials(store, None, None) is None
         dataset = f.from_store(store)          # record-path fallback
         assert len(dataset.X) == len(f.examples_from_records(store))
+        assert dataset.keys == f.to_dataset(
+            f.examples_from_records(store)).keys
 
     def test_curated_label_votes_match(self):
         packets = [_packet(i * 0.3) for i in range(20)]
@@ -165,8 +169,46 @@ class TestColumnarFromStore:
                              for rid in segment.rids.tolist()
                              if rid % 4 == 0})
         f = _featurizer()
-        columnar = f.examples_merged(store)
-        reference = f.examples_from_records(store)
-        assert [e.label_votes for e in columnar] == \
-            [e.label_votes for e in reference]
-        assert any(e.label_votes for e in columnar)
+        got = f.from_store(store)
+        want = f.to_dataset(f.examples_from_records(store))
+        assert got.class_names == want.class_names == ["benign", "scan"]
+        assert np.array_equal(got.y, want.y)
+        assert got.y.any()
+
+    @pytest.mark.parametrize("first", ["scan", "ddos"])
+    def test_curated_vote_tie_goes_to_the_earlier_label(self, first):
+        """9.9.9.9 gets one vote each: the label whose first vote has
+        the smaller record id wins, although 8.8.8.8's earlier vote
+        met the other label first."""
+        second = "ddos" if first == "scan" else "scan"
+        packets = [_packet(0.5, src="8.8.8.8")] + \
+            [_packet(0.5 + 0.1 * i) for i in range(1, 8)]
+        store = self._store(packets)
+        rids = sorted(rid for segment in store.segments("packets")
+                      for rid in segment.rids.tolist())
+        label_by_rid(store, {rids[0]: second, rids[2]: first,
+                             rids[6]: second})
+        f = _featurizer()
+        got = f.from_store(store)
+        want = f.to_dataset(f.examples_from_records(store))
+        assert len(store.segments("packets")) > 1
+        assert got.keys == want.keys == [(0.0, "8.8.8.8"), (0.0, "9.9.9.9")]
+        assert got.class_names == want.class_names == ["benign", "ddos",
+                                                       "scan"]
+        assert got.y.tolist() == want.y.tolist() == [
+            got.class_names.index(second), got.class_names.index(first)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counters=st.lists(st.integers(0, 2 ** 40), min_size=12, max_size=12),
+       n_dsts=st.integers(0, 300), n_dports=st.integers(0, 300),
+       window_s=st.sampled_from([0.1, 1.0, 3.0, 5.0, 7.3]))
+def test_vector_equals_the_matrix_formula_bit_for_bit(counters, n_dsts,
+                                                       n_dports, window_s):
+    example = features.WindowExample(
+        0.0, "9.9.9.9", *counters[:6], set(range(n_dsts)),
+        set(range(n_dports)), *counters[6:])
+    row = features._feature_matrix([counters], [n_dsts], [n_dports],
+                                   window_s)
+    assert row.shape == (1, len(FEATURE_NAMES))
+    assert np.array(example.vector(window_s)).tobytes() == row[0].tobytes()

@@ -6,8 +6,9 @@ segments in worker processes.  None of that may change the featurized
 ``Dataset``: a compacted, sharded or spilled store must featurize
 exactly like a flat store holding the same batches unsealed in input
 order, and exactly like the record-at-a-time reference — the same
-keys, vectors and labels, and the same label-vote insertion order
-(which decides ``max()`` ties when labels come from curated votes).
+keys, vector bytes and labels, whether labels come from ground truth or
+from curated votes (where the record path's label-vote insertion order
+decides ``max()`` ties).
 """
 
 import shutil
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.tiers import TieredDataStore, TierPolicy
+from repro.events import EventWindow, GroundTruth
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketRecord
 from repro.parallel import ParallelExecutor, shm_available
@@ -76,29 +78,39 @@ def _curate(store, labels):
     label_by_rid(store, dict(zip(fresh, labels)))
 
 
-def _votes(examples):
-    return [((e.window_start, e.endpoint), list(e.label_votes.items()))
-            for e in examples]
+def _ground_truth():
+    """Overlapping windows (the first one listed wins), a window edge
+    on a featurize window's midpoint, and an actor string no endpoint
+    renders as."""
+    truth = GroundTruth()
+    truth.add(EventWindow("ddos", "ddos", 2.5, 12.5,
+                          actors=["9.9.0.7", "10.0.0.1"]))
+    truth.add(EventWindow("scan", "scan", 0.0, 20.0,
+                          actors=["10.0.0.1", "192.168.1.20", "010.0.0.2"]))
+    return truth
 
 
 def _assert_same_dataset(got, want):
     assert got.keys == want.keys
-    assert np.array_equal(got.X, want.X)
+    assert got.X.tobytes() == want.X.tobytes()
     assert np.array_equal(got.y, want.y)
     assert got.class_names == want.class_names
 
 
 def _assert_featurizes_like_flat(featurizer, store, flat, time_range=None,
                                  executor=None):
+    """``from_store`` on ``store`` and on ``flat`` equals the record
+    reference on ``flat``, labelled from curated votes and from ground
+    truth, and the columnar path ran."""
+    assert featurizer._partials(store, time_range, executor) is not None
     reference = featurizer.examples_from_records(flat, time_range)
-    merged = featurizer.examples_merged(store, time_range, executor=executor)
-    assert merged is not None                 # the vectorized path ran
-    assert _votes(merged) == _votes(reference)
-    want = featurizer.to_dataset(reference)
-    _assert_same_dataset(featurizer.from_store(flat, time_range=time_range),
-                         want)
-    _assert_same_dataset(featurizer.from_store(store, time_range=time_range,
-                                               executor=executor), want)
+    for truth in (None, _ground_truth()):
+        want = featurizer.to_dataset(reference, ground_truth=truth)
+        _assert_same_dataset(featurizer.from_store(
+            flat, ground_truth=truth, time_range=time_range), want)
+        _assert_same_dataset(featurizer.from_store(
+            store, ground_truth=truth, time_range=time_range,
+            executor=executor), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,8 +157,11 @@ def test_tiered_store_featurizes_like_flat_store(batches, n_shards, memtable,
             FeatureConfig(window_s=WINDOW_S, min_packets=data.draw(
                 st.sampled_from([1, 2]))))
         _assert_featurizes_like_flat(featurizer, tiered, flat, time_range)
-        assert _votes(featurizer.examples_from_records(tiered, time_range)) \
-            == _votes(featurizer.examples_from_records(flat, time_range))
+        assert [(e.window_start, e.endpoint, list(e.label_votes.items()))
+                for e in featurizer.examples_from_records(tiered,
+                                                          time_range)] \
+            == [(e.window_start, e.endpoint, list(e.label_votes.items()))
+                for e in featurizer.examples_from_records(flat, time_range)]
     finally:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -246,5 +261,5 @@ def test_cold_segment_meta_decoded_once_per_featurize(tmp_path, monkeypatch):
     _assert_featurizes_like_flat(featurizer, tiered, flat)
     pairs = [id(segment.pair_blob) for segment in cold]
     reads.clear()
-    assert featurizer.examples_merged(tiered) is not None
+    assert featurizer._partials(tiered, None, None) is not None
     assert sorted(r for r in reads if r in pairs) == sorted(pairs)

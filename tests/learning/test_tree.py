@@ -10,11 +10,15 @@ from repro.learning.models import (
     NotFittedError,
     RandomForestClassifier,
 )
+from repro.learning.models.tree import _TreeBuilder, _class_sum
 
 from tests.learning.tree_reference import (
+    reference_best_split_on_feature,
     reference_forest_proba,
     reference_predict,
     reference_predict_proba,
+    reference_split_search,
+    tree_nodes,
 )
 
 
@@ -236,3 +240,153 @@ def test_nan_goes_right_and_threshold_goes_left():
     proba = tree.predict_proba([[threshold], [np.nan]])
     assert proba[0].tolist() == [1.0, 0.0]
     assert proba[1].tolist() == [0.0, 1.0]
+
+
+# -- the split search against its reference ------------------------------
+
+
+def _split_data(rng, n_rows, n_features, n_classes, specials):
+    """Rounded draws, so every column has ties; ``specials`` also
+    scatters NaN, 0.0 and -0.0 over the matrix."""
+    X = rng.normal(size=(n_rows, n_features)).round(1)
+    if specials:
+        cells = rng.random(X.shape)
+        X[cells < 0.05] = np.nan
+        X[(cells >= 0.05) & (cells < 0.15)] = 0.0
+        X[(cells >= 0.15) & (cells < 0.25)] = -0.0
+    return X, rng.integers(0, n_classes, size=n_rows)
+
+
+def _weights(rng, kind, n_rows):
+    if kind == "integer":
+        return rng.integers(0, 4, size=n_rows).astype(float)
+    if kind == "fractional":
+        return rng.uniform(0.1, 5.0, size=n_rows)
+    return None
+
+
+split_params = dict(
+    seed=st.integers(0, 2 ** 16),
+    n_rows=st.sampled_from([2, 9, 17, 60, 250]),
+    n_features=st.integers(1, 4),
+    n_classes=st.integers(2, 9),
+    weights=st.sampled_from(["none", "integer", "fractional"]),
+    specials=st.booleans(),
+    depth=st.one_of(st.none(), st.integers(1, 8)),
+    min_samples_leaf=st.integers(1, 3),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(**split_params)
+def test_classifier_fits_node_for_node_like_reference(
+        seed, n_rows, n_features, n_classes, weights, specials, depth,
+        min_samples_leaf):
+    rng = np.random.default_rng(seed)
+    X, y = _split_data(rng, n_rows, n_features, n_classes, specials)
+    weight = _weights(rng, weights, n_rows)
+
+    def fit():
+        return DecisionTreeClassifier(
+            max_depth=depth, min_samples_leaf=min_samples_leaf).fit(
+                X, y, sample_weight=weight, n_classes=n_classes)
+
+    with reference_split_search():
+        want = tree_nodes(fit().root_)
+    assert tree_nodes(fit().root_) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_classes=st.integers(2, 9),
+       max_features=st.integers(1, 4), specials=st.booleans(),
+       depth=st.one_of(st.none(), st.integers(1, 8)))
+def test_forest_fits_node_for_node_like_reference(seed, n_classes,
+                                                  max_features, specials,
+                                                  depth):
+    rng = np.random.default_rng(seed)
+    X, y = _split_data(rng, 80, 4, n_classes, specials)
+
+    def fit():
+        return RandomForestClassifier(
+            n_estimators=3, max_depth=depth, max_features=max_features,
+            random_state=seed).fit(X, y)
+
+    with reference_split_search():
+        want = [tree_nodes(t.root_) for t in fit().trees_]
+    assert [tree_nodes(t.root_) for t in fit().trees_] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(**split_params)
+def test_regressor_fits_node_for_node_like_reference(
+        seed, n_rows, n_features, n_classes, weights, specials, depth,
+        min_samples_leaf):
+    rng = np.random.default_rng(seed)
+    X, y = _split_data(rng, n_rows, n_features, n_classes, specials)
+    target = y + rng.normal(scale=0.3, size=n_rows)
+    weight = _weights(rng, weights, n_rows)
+
+    def fit():
+        return DecisionTreeRegressor(
+            max_depth=depth, min_samples_leaf=min_samples_leaf).fit(
+                X, target, sample_weight=weight)
+
+    with reference_split_search():
+        want = tree_nodes(fit().root_)
+    assert tree_nodes(fit().root_) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(**split_params, criterion=st.sampled_from(["gini", "mse"]))
+def test_split_search_returns_the_reference_gain_bits(
+        seed, n_rows, n_features, n_classes, weights, specials, depth,
+        min_samples_leaf, criterion):
+    """One column at a time, the cut and its gain bit for bit: trees
+    hide a gain that rounds differently unless it flips a choice."""
+    rng = np.random.default_rng(seed)
+    X, y = _split_data(rng, n_rows, n_features, n_classes, specials)
+    weight = _weights(rng, weights, n_rows)
+    builder = _TreeBuilder(criterion, depth, 2, min_samples_leaf, None, None)
+    builder.build(X, y, weight, n_classes)     # sets the fit's weighting
+    weight = np.ones(n_rows) if weight is None else weight
+    for column in X.T:
+        got = builder._best_split_on_feature(column, y, weight, n_classes)
+        want = reference_best_split_on_feature(builder, column, y, weight,
+                                               n_classes)
+        if want is None:
+            assert got is None
+        else:
+            assert (got[0], float.hex(got[1])) == \
+                (want[0], float.hex(want[1]))
+
+
+@pytest.mark.parametrize("kind", ["fractional", "integer-past-2**53"])
+@pytest.mark.parametrize("seed", range(6))
+def test_inexact_prefix_sums_keep_the_stable_tie_order(kind, seed):
+    """Two shuffled runs of tied values: another order inside the first
+    run rounds the class prefix sums at its end differently, which
+    moves the gain (and with it the choice among near-equal cuts)
+    unless these weights sort stably."""
+    rng = np.random.default_rng(seed)
+    column = rng.permutation(np.repeat([0.0, 1.0], 200))
+    y = rng.integers(0, 3, size=400)
+    weight = rng.uniform(0.1, 5.0, size=400) if kind == "fractional" \
+        else rng.integers(1, 2 ** 50, size=400).astype(float)
+    builder = _TreeBuilder("gini", None, 2, 1, None, None)
+    builder.build(column[:, None], y, weight, 3)
+    got = builder._best_split_on_feature(column, y, weight, 3)
+    want = reference_best_split_on_feature(builder, column, y, weight, 3)
+    assert (got[0], float.hex(got[1])) == (want[0], float.hex(want[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_classes=st.integers(1, 12),
+       n_cuts=st.integers(1, 300))
+def test_class_sum_equals_the_stacked_row_sum(seed, n_classes, n_cuts):
+    """Wide magnitudes, so any other order of adds rounds differently."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.uniform(0.0, 1.0, n_cuts)
+               * 10.0 ** rng.integers(-8, 8, n_cuts)
+               for _ in range(n_classes)]
+    assert _class_sum(columns).tobytes() == \
+        np.stack(columns, axis=1).sum(axis=1).tobytes()
