@@ -264,8 +264,7 @@ class MetadataExtractor:
             "direction": packet.direction,
             "service": self._service(packet),
         }
-        payload_tags = self._payload_tags(packet)
-        tags.update(payload_tags)
+        tags.update(self.payload_tags(packet))
         if self._topology is not None:
             internal_ip = (
                 packet.dst_ip if packet.direction == "in" else packet.src_ip
@@ -284,7 +283,10 @@ class MetadataExtractor:
                 return WELL_KNOWN_SERVICES[port]
         return "other"
 
-    def _payload_tags(self, packet: PacketRecord) -> Dict[str, str]:
+    def payload_tags(self, packet: PacketRecord) -> Dict[str, str]:
+        """The tags :meth:`extract` derives from the payload (DNS
+        header and question facts for UDP port-53 packets, application
+        protocol facts otherwise); empty without a payload."""
         payload = packet.payload
         if not payload:
             return {}

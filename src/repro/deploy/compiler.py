@@ -56,11 +56,14 @@ class FeatureQuantizer:
         return cls(scales=scales, width=width)
 
     def quantize(self, x: Sequence[float]) -> List[int]:
+        # conditionals, not max()/min() calls: a NaN stays NaN (and
+        # floor raises on it) either way, and -0.0 passes through
         max_value = self.max_value
+        floor = math.floor
         out = []
         for value, scale in zip(x, self.scales):
-            q = int(math.floor(max(value, 0.0) * scale))
-            out.append(min(q, max_value))
+            q = floor((0.0 if value < 0.0 else value) * scale)
+            out.append(q if q < max_value else max_value)
         return out
 
     def dequantize(self, q: Sequence[int]) -> List[float]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 class MatchKind(enum.Enum):
@@ -50,6 +51,28 @@ class FieldMatch:
         if self.kind is MatchKind.LPM:
             shift = width - self.prefix_len
             return (observed >> shift) == (self.value >> shift)
+        raise ValueError(f"unknown match kind {self.kind}")
+
+    def masked_range(self, width: int = 32) -> Tuple[int, int, int]:
+        """``(mask, lo, hi)`` with ``matches(x, width)`` exactly when
+        ``lo <= x & mask <= hi``, for any integer ``x``: mask -1 for
+        EXACT and RANGE, the mask for TERNARY, and the prefix bits for
+        LPM (``x >> s == v >> s`` exactly when
+        ``x & -(1 << s) == v & -(1 << s)``)."""
+        if self.kind is MatchKind.EXACT:
+            return -1, self.value, self.value
+        if self.kind is MatchKind.RANGE:
+            return -1, self.lo, self.hi
+        if self.kind is MatchKind.TERNARY:
+            bits = self.value & self.mask
+            return self.mask, bits, bits
+        if self.kind is MatchKind.LPM:
+            shift = width - self.prefix_len
+            if shift < 0:
+                raise ValueError(f"prefix length {self.prefix_len} "
+                                 f"exceeds width {width}")
+            mask = -(1 << shift)
+            return mask, self.value & mask, self.value & mask
         raise ValueError(f"unknown match kind {self.kind}")
 
     @staticmethod
@@ -111,6 +134,54 @@ class MatchActionTable:
         if best is None:
             return self.default_action, dict(self.default_params)
         return best.action, dict(best.params)
+
+    def compile_lookup(self, fields: Sequence[str]) \
+            -> Callable[[Sequence[int]], Tuple[str, Mapping[str, object]]]:
+        """:meth:`lookup` as a function of a vector of integer field
+        values, built once for a table whose entries no longer change.
+
+        ``values[i]`` is the value of ``fields[i]`` (a repeated name
+        takes its last position, as ``dict(zip(fields, values))``
+        does) and a key outside ``fields`` reads 0, so
+        ``match(values)`` equals ``lookup(dict(zip(fields, values)))``
+        when ``values`` is as long as ``fields``.  Every constraint is
+        one check ``lo <= values[i] & mask <= hi``
+        (:meth:`FieldMatch.masked_range`).  Checks that always hold
+        (mask 0) are dropped, and so is an entry whose check on an
+        absent key fails.  Entries are tried in priority order, ties in
+        insertion order, so the first hit is the entry ``lookup``
+        picks.  Params come back as read-only views, not copies.
+        """
+        position = {name: i for i, name in enumerate(fields)}
+        compiled = []
+        for entry in sorted(self.entries, key=lambda e: e.priority,
+                            reverse=True):
+            checks = []
+            for name, match in entry.matches.items():
+                mask, lo, hi = match.masked_range(
+                    self.key_widths.get(name, 32))
+                if name in position:
+                    if mask:
+                        checks.append((position[name], mask, lo, hi))
+                elif not lo <= 0 & mask <= hi:
+                    break                       # can never hit
+            else:
+                compiled.append((tuple(checks), (
+                    entry.action, MappingProxyType(entry.params))))
+        default = (self.default_action,
+                   MappingProxyType(self.default_params))
+
+        def match(values: Sequence[int]) \
+                -> Tuple[str, Mapping[str, object]]:
+            for checks, hit in compiled:
+                for i, mask, lo, hi in checks:
+                    if not lo <= values[i] & mask <= hi:
+                        break
+                else:
+                    return hit
+            return default
+
+        return match
 
     @property
     def key_width_bits(self) -> int:

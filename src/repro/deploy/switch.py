@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.capture.metadata import MetadataExtractor
 from repro.chaos.faults import FaultKind, MitigationError
@@ -30,12 +29,11 @@ from repro.chaos.resilience import CallableClock, CircuitBreaker
 from repro.deploy.compiler import CompileResult
 from repro.deploy.placement import PLACEMENTS
 from repro.deploy.sketches import BloomFilter, CountMinSketch
-from repro.learning.features import FeatureConfig, WindowExample, \
-    SourceWindowFeaturizer
-from repro.netsim.packets import PacketRecord
+from repro.learning.features import FEATURE_NAMES, WELL_KNOWN, \
+    FeatureConfig, WindowExample, SourceWindowFeaturizer
+from repro.netsim.packets import PacketRecord, Protocol
 
-#: the tags passed for packets whose counters never read them
-_NO_TAGS: Mapping[str, str] = MappingProxyType({})
+_UDP = int(Protocol.UDP)
 
 
 @dataclass
@@ -96,6 +94,14 @@ class EmulatedSwitch:
                 raise ProgramVerificationError(report)
         self.network = network
         self.result = compile_result
+        # The classify table, compiled once: quantized vector -> (action,
+        # params).  A quantized vector holds one value per feature the
+        # quantizer scales, so, as in ``dict(zip(fields, values))``,
+        # feature fields past that read 0.
+        n_values = min(len(FEATURE_NAMES),
+                       len(compile_result.quantizer.scales))
+        self._classify = compile_result.classify_table.compile_lookup(
+            compile_result.program.feature_fields[:n_values])
         self.config = config or SwitchConfig()
         if self.config.placement not in PLACEMENTS:
             known = ", ".join(sorted(PLACEMENTS))
@@ -185,13 +191,19 @@ class EmulatedSwitch:
     def _on_packets(self, packets: List[PacketRecord]) -> None:
         """Sense one delivered batch.
 
-        Per packet: endpoint and window bucketing, the endpoint's byte
-        total and the featurizer's counters.  Per batch: one count-min
-        and one Bloom update per distinct endpoint (count-min adds
-        commute and Bloom bits are idempotent, so the state equals
-        per-packet updates).  Tags are extracted only for DNS packets,
-        the only ones whose counters read them, and only when payload
-        features are on.
+        One fused loop per batch.  Per packet: endpoint and window
+        bucketing, the endpoint's byte total and the featurizer's
+        counters, updated inline as ``SourceWindowFeaturizer._accumulate``
+        does; consecutive packets of one window index share one bucket
+        lookup.  Per batch: one count-min and one Bloom update per
+        distinct endpoint (count-min adds commute and Bloom bits are
+        idempotent, so the state equals per-packet updates).
+
+        With payload features on, a DNS packet's response and ANY
+        verdicts come from its payload tags alone, since the counters
+        read nothing else of ``extract``'s tags.  The port heuristic
+        never fires then (``extract``'s tags are never empty), so a DNS
+        packet with an empty payload counts no response.
         """
         if self.obs is not None:
             self._m_packets.inc(len(packets))
@@ -209,36 +221,66 @@ class EmulatedSwitch:
         window_s = self.config.window_s
         max_keys = self.config.max_tracked_keys
         read_tags = self._featurizer.config.use_payload_features
-        extract = self._metadata.extract
-        accumulate = self._featurizer._accumulate
+        payload_tags = self._metadata.payload_tags
         buckets = self._buckets
+        floor = math.floor
         endpoint_bytes: Dict[str, int] = {}
         untracked = 0
+        # the bucket of the last packet's window index, reused until the
+        # index changes (no window is dropped inside a batch)
+        last_index = None
+        window_start = 0.0
+        bucket: Dict[str, WindowExample] = {}
         for packet in packets:
-            if packet.direction == "in":
-                endpoint = packet.src_ip
-            else:
-                endpoint = packet.dst_ip
-            endpoint_bytes[endpoint] = \
-                endpoint_bytes.get(endpoint, 0) + packet.size
-            window_start = math.floor(packet.timestamp / window_s) * window_s
-            bucket = buckets.get(window_start)
-            if bucket is None:
-                bucket = buckets[window_start] = {}
+            size = packet.size
+            inbound = packet.direction == "in"
+            endpoint = packet.src_ip if inbound else packet.dst_ip
+            endpoint_bytes[endpoint] = endpoint_bytes.get(endpoint, 0) + size
+            index = floor(packet.timestamp / window_s)
+            if index != last_index:
+                last_index = index
+                window_start = index * window_s
+                bucket = buckets.get(window_start)
+                if bucket is None:
+                    bucket = buckets[window_start] = {}
             example = bucket.get(endpoint)
             if example is None:
                 if len(bucket) >= max_keys:
                     untracked += 1  # key table full: untracked this window
                     continue
-                example = WindowExample(window_start=window_start,
-                                        endpoint=endpoint)
-                bucket[endpoint] = example
-            if read_tags and (packet.src_port == 53
-                              or packet.dst_port == 53):
-                tags = extract(packet)
+                example = bucket[endpoint] = WindowExample(
+                    window_start=window_start, endpoint=endpoint)
+            # SourceWindowFeaturizer._accumulate, inline
+            example.pkts += 1
+            example.bytes += size
+            example.ttl_sum += packet.ttl
+            if packet.protocol == _UDP:
+                example.udp_pkts += 1
+            src_port = packet.src_port
+            if src_port == 53 or packet.dst_port == 53:
+                example.dns_pkts += 1
+                if read_tags:
+                    tags = payload_tags(packet)
+                    if tags.get("dns_qr") == "response":
+                        example.dns_responses += 1
+                    if tags.get("dns_qtype") == "ANY":
+                        example.dns_any += 1
+                elif inbound and src_port == 53:
+                    example.dns_responses += 1
+            if inbound:
+                example.bytes_in += size
+                dst_port = packet.dst_port
+                example.dsts.add(packet.dst_ip)
+                example.dports.add(dst_port)
+                if dst_port in WELL_KNOWN:
+                    example.wellknown_dport += 1
+                if src_port == 53:
+                    example.port53_src += 1
             else:
-                tags = _NO_TAGS
-            accumulate(example, packet, tags)
+                example.bytes_out += size
+            flags = packet.flags
+            if flags & 0x02 and not flags & 0x10:   # PacketRecord.is_syn
+                example.syns += 1
         self.packets_processed += len(packets)
         self._sketch_endpoints(endpoint_bytes, len(packets))
         if untracked:
@@ -298,19 +340,21 @@ class EmulatedSwitch:
 
     def _tick(self) -> None:
         now = self.network.now
+        window_s = self.config.window_s
+        grace_s = self.config.grace_s
+        evaluated = self._evaluated
         ready = [
             start for start in self._buckets
-            if start + self.config.window_s + self.config.grace_s <= now
-            and start not in self._evaluated
+            if start + window_s + grace_s <= now and start not in evaluated
         ]
         for window_start in sorted(ready):
             self._evaluate_window(window_start)
-            self._evaluated.add(window_start)
+            evaluated.add(window_start)
             del self._buckets[window_start]
-        self._next_tick = now + self.config.window_s
-        if any(start not in self._evaluated for start in self._buckets):
-            self.network.simulator.schedule(self.config.window_s,
-                                            self._tick, name="switch-tick")
+        self._next_tick = now + window_s
+        if not evaluated.issuperset(self._buckets):
+            self.network.simulator.schedule(window_s, self._tick,
+                                            name="switch-tick")
         else:
             self._tick_armed = False
 
@@ -323,7 +367,8 @@ class EmulatedSwitch:
 
     def _infer_window(self, window_start: float) -> None:
         config = self.config
-        table = self.result.classify_table
+        classify = self._classify
+        quantize = self.result.quantizer.quantize
         class_names = self.result.program.class_names
         for endpoint, example in self._buckets[window_start].items():
             if example.pkts < config.min_packets:
@@ -338,11 +383,7 @@ class EmulatedSwitch:
                     self._m_misses.inc()
                 continue
             vector = example.vector(config.window_s)
-            fields = dict(zip(
-                self.result.program.feature_fields,
-                self.result.quantizer.quantize(vector),
-            ))
-            action, params = table.lookup(fields)
+            action, params = classify(quantize(vector))
             if self.obs is not None:
                 self._m_lookups.inc()
             class_id = int(params["class_id"])
