@@ -48,23 +48,17 @@ def _federation(n_sites):
              for spec in config.site_specs()]
     for site in sites:
         site.run_day()
-    return FederationCoordinator(sites, config), sites
+    return FederationCoordinator(sites, config)
 
 
 @pytest.fixture(scope="module")
 def single_site():
-    coordinator, sites = _federation(1)
-    yield coordinator
-    for site in sites:
-        site.close()
+    return _federation(1)
 
 
 @pytest.fixture(scope="module")
 def four_sites():
-    coordinator, sites = _federation(4)
-    yield coordinator
-    for site in sites:
-        site.close()
+    return _federation(4)
 
 
 def test_perf_federation_query_1site(benchmark, single_site):

@@ -102,9 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shards", type=int, default=1,
                      help="data-store shard count (>1 partitions by "
                           "time window x flow hash)")
-    run.add_argument("--workers", type=int, default=0,
-                     help="worker processes for ingest/featurize "
-                          "(0 = serial)")
     run.add_argument("--out", required=True, help="export directory")
     run.add_argument("--obs", default=None, metavar="PATH",
                      help="record observability (metrics + spans) to "
@@ -217,9 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--positive", default=None,
                        help="binarize against this class")
     train.add_argument("--window", type=float, default=5.0)
-    train.add_argument("--workers", type=int, default=0,
-                       help="worker processes for featurization "
-                            "(0 = serial)")
     train.add_argument("--obs", default=None, metavar="PATH",
                        help="record observability (metrics + spans) to "
                             "this JSON-lines file")
@@ -230,9 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     develop.add_argument("--positive", required=True)
     develop.add_argument("--teacher", default="forest")
     develop.add_argument("--max-depth", type=int, default=4)
-    develop.add_argument("--workers", type=int, default=0,
-                         help="worker processes for featurization "
-                              "(0 = serial)")
     develop.add_argument("--out", required=True,
                          help="directory for P4 source and rule list")
     develop.add_argument("--obs", default=None, metavar="PATH",
@@ -358,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--duration", type=float, default=60.0,
                      help="scenario length in simulated seconds "
                           "(with --pipeline)")
-    obs.add_argument("--workers", type=int, default=2,
-                     help="worker processes (with --pipeline)")
     obs.add_argument("--shards", type=int, default=2,
                      help="data-store shards (with --pipeline)")
     obs.add_argument("--out", default=None, metavar="PATH",
@@ -433,14 +422,10 @@ def cmd_run_day(args) -> int:
     obs = _obs_or_none(args)
     platform = CampusPlatform(PlatformConfig(
         campus_profile=args.profile, seed=args.seed, privacy_level=level,
-        store_shards=args.shards, workers=args.workers,
-        obs_enabled=obs is not None), obs=obs)
-    try:
-        scenario = _scenario_from_args(args)
-        result = platform.collect(scenario, seed=args.seed)
-        export_store(platform.store, args.out)
-    finally:
-        platform.close()
+        store_shards=args.shards, obs_enabled=obs is not None), obs=obs)
+    scenario = _scenario_from_args(args)
+    result = platform.collect(scenario, seed=args.seed)
+    export_store(platform.store, args.out)
     if obs is not None:
         _write_obs(obs, {"command": "run-day", "profile": args.profile,
                          "seed": args.seed,
@@ -656,17 +641,14 @@ def cmd_ingest(args) -> int:
         streaming_queue_records=args.queue,
         segment_capacity=args.memtable,
         streaming_spill_dir=args.spill))
-    try:
-        scenario = _scenario_from_args(args)
-        result = platform.collect(scenario, seed=args.seed)
-        if args.flush_cold:
-            platform.store.flush_to_cold()
-            platform.store.compactor.run()
-        summary = platform.store.tier_summary()
-        stats = platform.capture.stats
-        queue = platform.ingestor.queue
-    finally:
-        platform.close()
+    scenario = _scenario_from_args(args)
+    result = platform.collect(scenario, seed=args.seed)
+    if args.flush_cold:
+        platform.store.flush_to_cold()
+        platform.store.compactor.run()
+    summary = platform.store.tier_summary()
+    stats = platform.capture.stats
+    queue = platform.ingestor.queue
     extra = {
         "captured": result.packets_captured,
         "backpressure_dropped": stats.packets_backpressure_dropped,
@@ -695,24 +677,21 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _dataset_from_store(store_dir: str, window_s: float, workers: int = 0,
-                        obs=None):
+def _dataset_from_store(store_dir: str, window_s: float, obs=None):
     from repro.datastore import import_store
     from repro.learning.features import FeatureConfig, \
         SourceWindowFeaturizer
-    from repro.parallel import ParallelExecutor
 
     store = import_store(store_dir)
     if obs is not None:
         store.bind_obs(obs)
     featurizer = SourceWindowFeaturizer(FeatureConfig(window_s=window_s))
-    with ParallelExecutor(workers=workers, obs=obs) as executor:
-        if obs is None:
-            return featurizer.from_store(store, executor=executor)
-        with obs.span("devloop.featurize") as span:
-            dataset = featurizer.from_store(store, executor=executor)
-            span.set(rows=len(dataset))
-        return dataset
+    if obs is None:
+        return featurizer.from_store(store)
+    with obs.span("devloop.featurize") as span:
+        dataset = featurizer.from_store(store)
+        span.set(rows=len(dataset))
+    return dataset
 
 
 def _parse_where(items: List[str]) -> dict:
@@ -828,8 +807,7 @@ def cmd_train(args) -> int:
     from repro.learning import train_and_evaluate, train_test_split
 
     obs = _obs_or_none(args)
-    dataset = _dataset_from_store(args.store, args.window,
-                                  workers=args.workers, obs=obs)
+    dataset = _dataset_from_store(args.store, args.window, obs=obs)
     print(f"dataset: {len(dataset)} windows, "
           f"classes {dataset.class_counts()}")
     if args.positive:
@@ -856,8 +834,7 @@ def cmd_develop(args) -> int:
     from repro.core import DevelopmentLoop
 
     obs = _obs_or_none(args)
-    dataset = _dataset_from_store(args.store, 5.0, workers=args.workers,
-                                  obs=obs)
+    dataset = _dataset_from_store(args.store, 5.0, obs=obs)
     if args.positive not in dataset.class_names:
         known = ", ".join(dataset.class_names)
         print(f"class {args.positive!r} not in store (has: {known})",
@@ -1021,7 +998,6 @@ def cmd_federate_query(args) -> int:
             merged = {"bins": [[v, c] for v, c in answer.bins]}
     except QuorumLost as exc:
         print(f"federate: {exc}", file=sys.stderr)
-        coordinator.close()
         return 1
     summary = {
         "kind": args.kind,
@@ -1065,7 +1041,6 @@ def cmd_federate_query(args) -> int:
         _write_obs(obs, {"command": "federate-query",
                          "sites": args.sites, "seed": args.seed},
                    args.obs)
-    coordinator.close()
     return 0
 
 
@@ -1096,7 +1071,6 @@ def cmd_federate_e2e(args) -> int:
         report = experiment.run(roadtest=not args.no_roadtest)
     except QuorumLost as exc:
         print(f"federate: {exc}", file=sys.stderr)
-        experiment.close()
         return 1
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2,
@@ -1130,7 +1104,6 @@ def cmd_federate_e2e(args) -> int:
         _write_obs(obs, {"command": "federate-e2e",
                          "sites": args.sites, "seed": args.seed},
                    args.obs)
-    experiment.close()
     return 0 if report.federation_wins else 1
 
 
@@ -1163,7 +1136,7 @@ def cmd_obs(args) -> int:
 
         obs, meta = run_observed_pipeline(
             profile=args.profile, duration_s=args.duration,
-            seed=args.seed, workers=args.workers, shards=args.shards)
+            seed=args.seed, shards=args.shards)
         records = obs_records(obs, meta)
         if args.out:
             write_jsonl(records, args.out)

@@ -34,10 +34,6 @@ class PlatformConfig:
         Data-store shard count; >1 partitions the
         :class:`~repro.datastore.tiers.TieredDataStore`'s packets by
         time window x flow hash, one tier ladder per shard.
-    workers:
-        Worker processes for the parallel substrate; 0 = serial
-        everywhere (the default, and the automatic fallback wherever
-        process pools or shared memory are unavailable).
     obs_enabled:
         Build a :class:`repro.obs.Observability` and thread it through
         every layer (metrics + spans + flight recorder).  Off by
@@ -71,7 +67,6 @@ class PlatformConfig:
     segment_capacity: int = 50_000
     enable_sensors: bool = True
     store_shards: int = 1
-    workers: int = 0
     obs_enabled: bool = False
     #: also tap distribution<->core trunks so east-west traffic ("packets
     #: that stay inside the enterprise", §5) reaches the store

@@ -35,7 +35,6 @@ from repro.learning.dataset import Dataset
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.campus import make_campus
 from repro.netsim.network import CampusNetwork
-from repro.parallel import ParallelExecutor
 from repro.privacy.policy import PrivacyLevel, PrivacyPolicy, \
     make_ingest_transform
 
@@ -80,18 +79,13 @@ class CampusPlatform:
         else:
             self.privacy_policy = PrivacyPolicy.preset(
                 self.config.privacy_level)
-        # Parallel substrate: the executor is lazy (no pool until the
-        # first parallel fan-out) and degrades to serial via the ledger.
-        self.executor = ParallelExecutor(
-            workers=self.config.workers, ledger=self.degradation,
-            fault_injector=fault_injector, obs=obs)
         self.store = TieredDataStore(
             metadata_extractor=MetadataExtractor(self.network.topology),
             policy=TierPolicy(memtable_records=self.config.segment_capacity),
             spill_dir=self.config.streaming_spill_dir
             if self.config.streaming else None,
             n_shards=self.config.store_shards,
-            window_s=self.config.window_s, executor=self.executor,
+            window_s=self.config.window_s,
             fault_injector=fault_injector, obs=obs)
         self.store.add_ingest_transform(make_ingest_transform(
             self.privacy_policy, self.network.topology.is_internal_ip,
@@ -174,10 +168,6 @@ class CampusPlatform:
         """A new, uninstrumented traffic day for testbed use."""
         return self._build_network(seed)
 
-    def close(self) -> None:
-        """Release the worker pool (no-op when running serial)."""
-        self.executor.shutdown()
-
     # -- data source role -------------------------------------------------------
 
     def collect(self, scenario: Scenario,
@@ -251,14 +241,12 @@ class CampusPlatform:
             dataset = featurizer.from_store(
                 self.store, ground_truth=ground_truth,
                 time_range=time_range, class_names=class_names,
-                executor=self.executor,
             )
         else:
             with self.obs.span("devloop.featurize") as span:
                 dataset = featurizer.from_store(
                     self.store, ground_truth=ground_truth,
                     time_range=time_range, class_names=class_names,
-                    executor=self.executor,
                 )
                 span.set(rows=len(dataset))
         self.bus.publish("dataset:built", rows=len(dataset),
@@ -287,11 +275,8 @@ class CampusPlatform:
                 "queue_rejected": self.ingestor.queue.rejected_records,
                 "ingested": self.ingestor.ingested_records,
             }
-        if self.config.workers or self.store.n_shards > 1:
-            out["parallel"] = {
-                **self.executor.summary(),
-                "shards": self.store.n_shards,
-            }
+        if self.store.n_shards > 1:
+            out["parallel"] = {"shards": self.store.n_shards}
         if self.obs is not None:
             out["obs"] = {
                 "spans": len(self.obs.tracer.spans),

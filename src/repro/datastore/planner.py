@@ -1,7 +1,7 @@
 """Cost-based query planning over a shared QueryPlan IR.
 
-Every executor — the exact scan (serial or process-parallel) and the
-approximate sketch path — consumes one plan shape instead of
+Every executor — the exact in-process scan and the approximate sketch
+path — consumes one plan shape instead of
 re-deriving control flow per query.  A plan is a small tree of logical
 ops:
 
@@ -388,33 +388,13 @@ def _observe_plan(obs, plan: QueryPlan) -> None:
         plan.root.actual_rows or 0)
 
 
-def _scatter_matches(contributing: List[SegmentPlan], query: Query,
-                     executor) -> Optional[List[Tuple]]:
-    """Planned scatter: workers get each segment's ordered predicate
-    sequence and gather choice and return its match positions; None
-    when the kernel is ineligible."""
-    from repro.parallel.kernels import scatter_query
-    scattered = scatter_query([(sp.segment, sp.where_items, sp.gather)
-                               for sp in contributing], query, executor)
-    if scattered is None:
-        return None
-    for sp, positions in zip(contributing, scattered):
-        sp.actual_rows = len(positions)
-    return [(sp.segment, positions, None)
-            for sp, positions in zip(contributing, scattered)]
-
-
-def _scan_matches(contributing: List[SegmentPlan], query: Query,
-                  executor=None) -> Tuple[List[Tuple], bool]:
+def _scan_matches(contributing: List[SegmentPlan], query: Query) \
+        -> Tuple[List[Tuple], bool]:
     """Each contributing segment's matches as ``(segment, positions,
     rows)``: a column block's ascending positions plus the rows built
     for per-record checks (None if none ran), a record segment's
     ``(segment, None, rows)``.  Also whether every scan ran
     vectorized."""
-    if executor is not None and executor.parallel:
-        scans = _scatter_matches(contributing, query, executor)
-        if scans is not None:
-            return scans, True
     scans = []
     for sp in contributing:
         segment = sp.segment
@@ -507,27 +487,25 @@ def _merge_rows(scans: List[Tuple], query: Query) -> List:
                                                where.tolist()))
 
 
-def _scan_plan(plan: QueryPlan, obs, executor=None):
+def _scan_plan(plan: QueryPlan, obs):
     """:func:`_scan_matches` over the plan's contributing segments, in
     a ``query.plan.scan`` span when observed."""
     query = plan.query
     contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
     if obs is None:
-        return _scan_matches(contributing, query, executor)
+        return _scan_matches(contributing, query)
     with obs.span("query.plan.scan", collection=query.collection,
                   segments=len(contributing)) as span:
-        scans, columnar = _scan_matches(contributing, query, executor)
+        scans, columnar = _scan_matches(contributing, query)
         span.set(rows=sum(map(_matched, scans)))
     return scans, columnar
 
 
-def execute_plan_sharded(store, plan: QueryPlan, executor=None,
-                         obs=None) -> List:
+def execute_plan_sharded(store, plan: QueryPlan, obs=None) -> List:
     """Planned execution with the deterministic ``(time, rid)`` merge:
     the one exact executor every store query goes through.
 
-    Scans each contributing segment for its match positions (in worker
-    processes when an eligible ``executor`` is supplied), orders the
+    Scans each contributing segment for its match positions, orders the
     matches on ``(time, rid)`` — or bare ``rid`` for unordered queries
     — and builds rows only for the positions the answer keeps.  Rids
     are assigned in global ingest order, so whatever the sealing,
@@ -536,7 +514,7 @@ def execute_plan_sharded(store, plan: QueryPlan, executor=None,
     (``tests/datastore/reference.py``).
     """
     started = obs.clock.now() if obs is not None else None
-    scans, columnar = _scan_plan(plan, obs, executor)
+    scans, columnar = _scan_plan(plan, obs)
     if obs is None:
         records = _merge_rows(scans, plan.query)
     else:

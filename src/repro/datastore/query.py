@@ -133,7 +133,7 @@ def columnar_positions(cols, time_range, items, gather: bool) \
     positions passing the zone maps, the time range and every ``where``
     item numpy can evaluate, plus whether some item could not be
     evaluated (a residual the caller must check per record).  No
-    records: this is also the worker-side half of the parallel scan.
+    records are built.
 
     With ``gather`` the predicates after the first evaluate only at the
     survivors of the running mask — fancy-indexed gathers instead of

@@ -28,7 +28,7 @@ Configuration composes instead of subclassing:
   ``shard-<i>`` spill directory.
 
 All three tiers satisfy the same *SegmentSource* duck type the planner
-and executors consume (``records``, ``stored_at()``, ``columns()``,
+and its scans consume (``records``, ``stored_at()``, ``columns()``,
 ``stats()``, ``min_time``/``max_time``/``overlaps``, ``schema``,
 ``segment_id``), so queries treat a half-compacted store exactly like
 a quiesced one.  Rids are assigned in global ingest order and every
@@ -959,10 +959,6 @@ class TieredDataStore:
         ``i`` spills under ``spill_dir/shard-<i>``.  Record ids are
         drawn from one counter in input order, whatever the shard.
         Flows and logs are not sharded.
-    executor:
-        A :class:`~repro.parallel.ParallelExecutor` for
-        process-parallel query scans; without one — or with
-        ``workers=0`` — every path runs serially, same answers.
     fault_injector, clock, obs:
         Injected ingest and compactor faults, the clock for memtable
         age and retry backoff, and an optional Observability.
@@ -971,12 +967,11 @@ class TieredDataStore:
     def __init__(self, metadata_extractor: Optional[MetadataExtractor]
                  = None, policy: Optional[TierPolicy] = None,
                  spill_dir=None, n_shards: int = 1, window_s: float = 5.0,
-                 executor=None, fault_injector=None, clock=None, obs=None):
+                 fault_injector=None, clock=None, obs=None):
         self.metadata_extractor = metadata_extractor
         self.policy = policy if policy is not None else TierPolicy()
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.router = ShardRouter(n_shards, window_s=window_s)
-        self.executor = executor
         self.fault_injector = fault_injector
         self.clock = clock or VirtualClock()
         self.transient_errors = 0
@@ -1279,12 +1274,11 @@ class TieredDataStore:
         order."""
         obs = self.obs
         if obs is None:
-            return execute_plan_sharded(self, plan_query(self, query),
-                                        executor=self.executor)
+            return execute_plan_sharded(self, plan_query(self, query))
         with obs.span("store.query", collection=query.collection,
                       shards=self.n_shards) as span:
             records = execute_plan_sharded(self, plan_query(self, query),
-                                           executor=self.executor, obs=obs)
+                                           obs=obs)
             span.set(rows=len(records))
         return records
 

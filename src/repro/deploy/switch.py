@@ -114,12 +114,19 @@ class EmulatedSwitch:
             min_packets=self.config.min_packets,
         ))
         self._buckets: Dict[float, Dict[str, WindowExample]] = {}
-        self._evaluated: set = set()
+        #: the last tick's time: every window with ``start + window_s +
+        #: grace_s`` at or before it was evaluated and dropped, so a
+        #: packet for one of those windows is late and makes no bucket
+        self._watermark = -math.inf
         self.detections: List[Detection] = []
         self.packets_processed = 0
         #: packets sensed (sketched) but left out of features because
         #: their window's key table was full (``max_tracked_keys``)
         self.untracked_packets = 0
+        #: packets sensed (sketched) but left out of features because
+        #: their window had already been evaluated; processed = tracked
+        #: + untracked + late
+        self.late_packets = 0
         self.mitigated_endpoints: Dict[str, float] = {}
         #: permanent record (endpoint -> first effective time), survives
         #: mitigation expiry; consumed by testbed collateral accounting.
@@ -158,6 +165,8 @@ class EmulatedSwitch:
                 "repro_switch_packets_sensed_total")
             self._m_untracked = metrics.counter(
                 "repro_switch_untracked_packets_total")
+            self._m_late = metrics.counter(
+                "repro_switch_late_packets_total")
             self._m_lookups = metrics.counter(
                 "repro_switch_table_lookups_total")
             self._m_misses = metrics.counter(
@@ -219,6 +228,8 @@ class EmulatedSwitch:
             self.byte_sketch._table[row, col] += delta
             self.register_corruptions += 1
         window_s = self.config.window_s
+        grace_s = self.config.grace_s
+        watermark = self._watermark
         max_keys = self.config.max_tracked_keys
         read_tags = self._featurizer.config.use_payload_features
         payload_tags = self._metadata.payload_tags
@@ -226,11 +237,13 @@ class EmulatedSwitch:
         floor = math.floor
         endpoint_bytes: Dict[str, int] = {}
         untracked = 0
+        late = 0
         # the bucket of the last packet's window index, reused until the
-        # index changes (no window is dropped inside a batch)
+        # index changes (no window is dropped inside a batch); None for
+        # a window the last tick closed
         last_index = None
         window_start = 0.0
-        bucket: Dict[str, WindowExample] = {}
+        bucket: Optional[Dict[str, WindowExample]] = {}
         for packet in packets:
             size = packet.size
             inbound = packet.direction == "in"
@@ -241,8 +254,12 @@ class EmulatedSwitch:
                 last_index = index
                 window_start = index * window_s
                 bucket = buckets.get(window_start)
-                if bucket is None:
+                if bucket is None and \
+                        window_start + window_s + grace_s > watermark:
                     bucket = buckets[window_start] = {}
+            if bucket is None:
+                late += 1   # its window was already evaluated
+                continue
             example = bucket.get(endpoint)
             if example is None:
                 if len(bucket) >= max_keys:
@@ -287,6 +304,10 @@ class EmulatedSwitch:
             self.untracked_packets += untracked
             if self.obs is not None:
                 self._m_untracked.inc(untracked)
+        if late:
+            self.late_packets += late
+            if self.obs is not None:
+                self._m_late.inc(late)
 
     def _sketch_endpoints(self, endpoint_bytes: Dict[str, int],
                           n_packets: int) -> None:
@@ -326,7 +347,11 @@ class EmulatedSwitch:
         pauses while there are none (a replay can leave hours between
         packets) and the next delivered batch re-arms it on the same
         grid.  A tick the pause skipped would have run, and found
-        nothing, before that batch arrived.  Re-arming follows at least
+        nothing, before that batch arrived; the watermark stays at the
+        last tick that ran, so only a batch whose packets trail its
+        delivery by more than ``window_s + grace_s`` could tell the
+        difference, and its windows are evaluated, not refused as
+        late.  Re-arming follows at least
         one tick, so on a clock started at or after zero
         ``now >= window_s >= next - now`` and the subtraction is exact:
         the event lands on the grid time itself.
@@ -342,17 +367,16 @@ class EmulatedSwitch:
         now = self.network.now
         window_s = self.config.window_s
         grace_s = self.config.grace_s
-        evaluated = self._evaluated
         ready = [
             start for start in self._buckets
-            if start + window_s + grace_s <= now and start not in evaluated
+            if start + window_s + grace_s <= now
         ]
         for window_start in sorted(ready):
             self._evaluate_window(window_start)
-            evaluated.add(window_start)
             del self._buckets[window_start]
+        self._watermark = now
         self._next_tick = now + window_s
-        if not evaluated.issuperset(self._buckets):
+        if self._buckets:
             self.network.simulator.schedule(window_s, self._tick,
                                             name="switch-tick")
         else:

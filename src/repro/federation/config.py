@@ -98,7 +98,6 @@ class FederationConfig:
     campus_profile: str = "tiny"
     duration_s: float = 180.0
     window_s: float = 5.0
-    workers: int = 0
 
     def __post_init__(self):
         if self.n_sites < 1:

@@ -312,7 +312,3 @@ class FederationCoordinator:
 
     def budget_summary(self) -> List[Dict[str, float]]:
         return [site.budget.summary() for site in self.sites]
-
-    def close(self) -> None:
-        for site in self.sites:
-            site.close()

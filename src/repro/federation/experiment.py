@@ -228,7 +228,3 @@ class FederatedExperiment:
                 precision=float(metrics.get("precision", 0.0)),
                 recall=float(metrics.get("recall", 0.0)),
                 f1=float(metrics.get("f1", 0.0))))
-
-    def close(self) -> None:
-        self.coordinator.close()
-        self.holdout.close()

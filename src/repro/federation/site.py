@@ -70,7 +70,6 @@ class CampusSite:
             campus_profile=config.campus_profile,
             seed=spec.platform_seed,
             window_s=config.window_s,
-            workers=config.workers,
             privacy_key=spec.ingest_key,
         ), obs=obs)
         self.budget = PrivacyBudget(site=self.name,
@@ -142,6 +141,3 @@ class CampusSite:
 
         return make_roadtest_factory(self.platform, scenario_builder,
                                      base_config, guardrails=guardrails)
-
-    def close(self) -> None:
-        self.platform.close()

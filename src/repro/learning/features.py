@@ -105,17 +105,16 @@ WELL_KNOWN = {22, 23, 25, 53, 80, 123, 143, 443, 445, 587, 993, 3306,
 _WELL_KNOWN_ARR = np.array(sorted(WELL_KNOWN), dtype=np.float64)
 
 
-# -- per-segment aggregation (module-level: shipped to worker processes) ------
+# -- per-segment aggregation --------------------------------------------------
 #
 # The vectorized featurize path reduces every segment's column block
-# independently with the records-free _block_examples — in a worker
-# process or serially — and one parent-side merge sums the partial
-# aggregates, orders groups by their smallest record id and builds the
-# Dataset from the merged counter matrix
-# (SourceWindowFeaturizer._dataset_from_partials).  Everything a block needs
-# from the stored records — record ids, DNS tag verdicts, curated
-# labels — is precomputed by the parent into flat arrays and shipped
-# with the block.
+# independently with the records-free _block_examples, and one merge
+# sums the partial aggregates, orders groups by their smallest record id
+# and builds the Dataset from the merged counter matrix
+# (SourceWindowFeaturizer._dataset_from_partials).  Everything a block
+# needs from the stored records — record ids, DNS tag verdicts, curated
+# labels — is read from the segment's annotation columns into flat
+# arrays first.
 
 #: the columns of a partial's counts: WindowExample's counter fields, in
 #: field order (``dsts`` and ``dports`` sit between the sixth and seventh)
@@ -166,7 +165,7 @@ def _block_examples(cols, time_range, window_s, use_payload, rids,
     ``rids`` are the rows' record ids, ``resp_mask``/``any_mask``/
     ``tagged_mask`` per-row DNS tag verdicts and ``curated_codes``/
     ``curated_values`` the dict-encoded curated labels (code -1 = none),
-    all precomputed from the stored records by the parent.
+    all precomputed from the segment's annotation columns.
 
     Returns None when the block needs the record path (non-canonical
     addresses, NaN timestamps, window ids or ports that do not pack),
@@ -393,8 +392,7 @@ class SourceWindowFeaturizer:
 
     def from_store(self, store, ground_truth=None,
                    time_range: Optional[Tuple] = None,
-                   class_names: Optional[List[str]] = None,
-                   executor=None) -> Dataset:
+                   class_names: Optional[List[str]] = None) -> Dataset:
         """One query, one pass: the top-down workflow.
 
         Without ``ground_truth``, labels come from the store's curated
@@ -404,15 +402,14 @@ class SourceWindowFeaturizer:
 
         Aggregation runs vectorized per segment, and the Dataset is
         built from the merged counter matrix
-        (:meth:`_dataset_from_partials`; in worker processes when
-        ``executor`` has live workers).  When any segment resists
+        (:meth:`_dataset_from_partials`).  When any segment resists
         vectorization it falls back to the record-at-a-time reference
         (:meth:`examples_from_records` and :meth:`to_dataset`).  Either
         way the rows, their order and their labels are those of a flat
         store fed the same batches: independent of segment layout,
-        compaction, shard count and worker count.
+        compaction and shard count.
         """
-        partials = self._partials(store, time_range, executor)
+        partials = self._partials(store, time_range)
         if partials is None:
             return self.to_dataset(
                 self.examples_from_records(store, time_range),
@@ -434,8 +431,7 @@ class SourceWindowFeaturizer:
         """Annotation inputs for :func:`_block_examples`, read from the
         segment's columns without building a row: per-row record ids,
         DNS tag verdicts for the tag-aware counters (decided once per
-        distinct tag set) and dict-encoded curated labels.  Runs in the
-        parent; the heavy bincount math stays in the kernel.
+        distinct tag set) and dict-encoded curated labels.
         """
         n = len(cols)
         resp = np.zeros(n, dtype=bool)
@@ -463,32 +459,24 @@ class SourceWindowFeaturizer:
             curated_values = list(values)
         return (rids, resp, anyq, tagged, curated_codes, curated_values)
 
-    def _partials(self, store, time_range, executor) -> Optional[List]:
+    def _partials(self, store, time_range) -> Optional[List]:
         """The :func:`_block_examples` partial of every segment that
-        has rows in ``time_range`` — in worker processes when
-        ``executor`` has live workers, serially otherwise — or None when
-        any segment resists columnar processing."""
-        blocks = []
+        has rows in ``time_range``, or None when any segment resists
+        columnar processing."""
+        window_s = self.config.window_s
+        use_payload = self.config.use_payload_features
+        partials = []
         for segment in store.segments("packets"):
             if not len(segment):
                 continue
             cols = segment.columns()
-            blocks.append((cols, self._segment_aux(segment, cols)))
-
-        window_s = self.config.window_s
-        use_payload = self.config.use_payload_features
-        partials = None
-        if executor is not None and executor.parallel and len(blocks) > 1:
-            from repro.parallel.kernels import scatter_featurize
-            partials = scatter_featurize(blocks, time_range, window_s,
-                                         use_payload, executor)
-        if partials is None:
-            partials = [_block_examples(cols, time_range, window_s,
-                                        use_payload, *aux)
-                        for cols, aux in blocks]
-        if any(p is None for p in partials):
-            return None
-        return [p for p in partials if p]
+            partial = _block_examples(cols, time_range, window_s, use_payload,
+                                      *self._segment_aux(segment, cols))
+            if partial is None:
+                return None
+            if partial:
+                partials.append(partial)
+        return partials
 
     def _dataset_from_partials(self, partials, ground_truth,
                                class_names) -> Dataset:

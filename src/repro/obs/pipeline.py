@@ -26,7 +26,6 @@ _POSITIVE_CLASS = "ddos-dns-amp"
 def run_observed_pipeline(profile: str = "small",
                           duration_s: float = 120.0,
                           seed: int = 7,
-                          workers: int = 2,
                           shards: int = 2,
                           obs=None) -> Tuple[object, Dict]:
     """Run one seeded, fault-free day with observability on everywhere.
@@ -35,10 +34,9 @@ def run_observed_pipeline(profile: str = "small",
     ----------
     profile / duration_s / seed:
         Campus profile and scenario length, as in ``repro run-day``.
-    workers / shards:
-        Parallel substrate sizing.  The defaults exercise the sharded
-        store and the process pool so the trace carries worker-side
-        spans; pass ``workers=0, shards=1`` for a serial trace.
+    shards:
+        Data-store shard count.  The default exercises the sharded
+        store; pass ``shards=1`` for a flat one.
     obs:
         Optional pre-built :class:`~repro.obs.Observability` (a fresh
         one is created otherwise).
@@ -61,55 +59,50 @@ def run_observed_pipeline(profile: str = "small",
     if obs is None:
         obs = Observability()
     config = PlatformConfig(campus_profile=profile, seed=seed,
-                            workers=workers, store_shards=shards,
-                            obs_enabled=True)
+                            store_shards=shards, obs_enabled=True)
     platform = CampusPlatform(config, obs=obs)
     meta: Dict = {
         "pipeline": "observed",
         "profile": profile,
         "duration_s": duration_s,
         "seed": seed,
-        "workers": workers,
         "shards": shards,
     }
-    try:
-        with obs.span("pipeline.run", seed=seed, profile=profile):
-            # -- slow loop: capture -> store -> query -> develop ----------
-            collection = platform.collect(
-                make_scenario("ddos", duration_s), seed=seed)
-            meta["packets_captured"] = collection.packets_captured
-            meta["flows_stored"] = collection.flows_stored
+    with obs.span("pipeline.run", seed=seed, profile=profile):
+        # -- slow loop: capture -> store -> query -> develop --------------
+        collection = platform.collect(
+            make_scenario("ddos", duration_s), seed=seed)
+        meta["packets_captured"] = collection.packets_captured
+        meta["flows_stored"] = collection.flows_stored
 
-            rows = platform.store.query(Query(
-                collection="packets", where={"protocol": 17}))
-            meta["query_rows"] = len(rows)
+        rows = platform.store.query(Query(
+            collection="packets", where={"protocol": 17}))
+        meta["query_rows"] = len(rows)
 
-            dataset = platform.build_dataset()
-            meta["dataset_rows"] = len(dataset)
+        dataset = platform.build_dataset()
+        meta["dataset_rows"] = len(dataset)
 
-            tool = None
-            if _POSITIVE_CLASS in dataset.class_names:
-                loop = DevelopmentLoop(teacher_name="tree",
-                                       student_max_depth=3, obs=obs)
-                tool, devreport = loop.develop(
-                    dataset.binarize(_POSITIVE_CLASS),
-                    tool_name="observed", seed=seed)
-                meta["devloop_ok"] = bool(devreport.ready)
-            else:
-                meta["devloop_ok"] = False
+        tool = None
+        if _POSITIVE_CLASS in dataset.class_names:
+            loop = DevelopmentLoop(teacher_name="tree",
+                                   student_max_depth=3, obs=obs)
+            tool, devreport = loop.develop(
+                dataset.binarize(_POSITIVE_CLASS),
+                tool_name="observed", seed=seed)
+            meta["devloop_ok"] = bool(devreport.ready)
+        else:
+            meta["devloop_ok"] = False
 
-            # -- fast loop: sense -> infer -> react -----------------------
-            if tool is not None:
-                harness = ControlLoopHarness(
-                    tool, lambda s: make_scenario("ddos", duration_s),
-                    lambda s: platform.fresh_network(s),
-                    bus=platform.bus, obs=obs)
-                live = harness.run(seed=seed + 1)
-                meta["detections"] = live.detections
-                meta["attack_admitted_fraction"] = round(
-                    live.attack_admitted_fraction, 4)
-    finally:
-        platform.close()
+        # -- fast loop: sense -> infer -> react ---------------------------
+        if tool is not None:
+            harness = ControlLoopHarness(
+                tool, lambda s: make_scenario("ddos", duration_s),
+                lambda s: platform.fresh_network(s),
+                bus=platform.bus, obs=obs)
+            live = harness.run(seed=seed + 1)
+            meta["detections"] = live.detections
+            meta["attack_admitted_fraction"] = round(
+                live.attack_admitted_fraction, 4)
     meta["trace_signature"] = obs.tracer.tree_signature()
     meta["spans"] = len(obs.tracer.spans)
     return obs, meta

@@ -8,7 +8,7 @@ adopts spans under the task's own span — see
 :meth:`repro.obs.metrics.MetricsRegistry.merge_payload` and
 :meth:`repro.obs.tracing.Tracer.adopt`.
 
-Kernel code (``repro.parallel.kernels``) calls :func:`worker_obs` to
+Task code shipped through the executor calls :func:`worker_obs` to
 find the active context; it returns ``None`` in the parent process or
 when observability is off, preserving the ``obs is None`` hot-path
 contract everywhere.

@@ -159,8 +159,7 @@ class LintConfig:
     #: the only modules allowed to call segment-scan internals (REP307).
     query_internal_scope: List[str] = field(
         default_factory=lambda: ["datastore/query.py",
-                                 "datastore/planner.py",
-                                 "parallel/kernels.py"])
+                                 "datastore/planner.py"])
     #: the only modules allowed to mutate segment lists in place
     #: (REP308); everyone else goes through evict_segment()/compaction.
     segment_mutation_scope: List[str] = field(

@@ -149,7 +149,7 @@ def test_featurizer_columnar_matches_record_path(packets, window_s,
     store = build_store(packets, tagged=False, sealed=False)
     featurizer = SourceWindowFeaturizer(
         FeatureConfig(window_s=window_s, min_packets=1))
-    assert featurizer._partials(store, time_range, None) is not None
+    assert featurizer._partials(store, time_range) is not None
     got = featurizer.from_store(store, time_range=time_range)
     want = featurizer.to_dataset(
         featurizer.examples_from_records(store, time_range))

@@ -46,10 +46,7 @@ def two_site_config():
 
 @pytest.fixture(scope="module")
 def two_sites(two_site_config):
-    sites = build_sites(two_site_config)
-    yield sites
-    for site in sites:
-        site.close()
+    return build_sites(two_site_config)
 
 
 def raw_address_values(site) -> set:

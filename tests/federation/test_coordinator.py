@@ -28,9 +28,7 @@ KILL = FaultPlan(name="kill", seed=0, specs=(
 def three_sites():
     config = small_config(n_sites=3, seed=17)
     sites = build_sites(config)
-    yield config, sites
-    for site in sites:
-        site.close()
+    return config, sites
 
 
 class TestMerging:
@@ -91,7 +89,6 @@ class TestOrderIndependence:
             coordinator = FederationCoordinator(sites, config)
             count = coordinator.query_count(ALL_PACKETS, epsilon=0.4)
             dataset, _ = coordinator.assemble()
-            coordinator.close()
             return count, dataset
 
         forward_count, forward_ds = run([0, 1, 2])
@@ -109,8 +106,6 @@ class TestQuorumDegradation:
         healthy = build_sites(config)
         coordinator = FederationCoordinator(healthy, config)
         clean = coordinator.query_count(ALL_PACKETS, epsilon=0.4)
-        for site in healthy:
-            site.close()
 
         degraded_sites = build_sites(config, plans={1: KILL})
         coordinator = FederationCoordinator(degraded_sites, config)
@@ -122,8 +117,6 @@ class TestQuorumDegradation:
         assert answer.bound > clean.bound
         modes = [(e.stage, e.mode) for e in coordinator.ledger.entries]
         assert ("federation", "partial-merge") in modes
-        for site in degraded_sites:
-            site.close()
 
     def test_below_quorum_is_loud(self):
         config = small_config(n_sites=3, seed=37, quorum_fraction=1.0)
@@ -133,8 +126,6 @@ class TestQuorumDegradation:
             coordinator.query_count(ALL_PACKETS, epsilon=0.4)
         modes = [(e.stage, e.mode) for e in coordinator.ledger.entries]
         assert ("federation", "quorum-lost") in modes
-        for site in sites:
-            site.close()
 
     def test_slow_site_past_timeout_is_unavailable(self):
         slow = FaultPlan(name="slow", seed=0, specs=(
@@ -146,8 +137,6 @@ class TestQuorumDegradation:
         assert answer.degraded
         assert any("timeout" in reason
                    for _, reason in answer.unavailable)
-        for site in sites:
-            site.close()
 
     def test_budget_exhaustion_degrades_like_an_outage(self):
         config = small_config(n_sites=2, seed=43, epsilon_total=0.3)
@@ -160,5 +149,3 @@ class TestQuorumDegradation:
         assert answer.n_answered == 1
         assert any("budget-exhausted" in reason
                    for _, reason in answer.unavailable)
-        for site in sites:
-            site.close()

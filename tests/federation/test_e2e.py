@@ -27,8 +27,7 @@ def e2e_report_and_experiment():
     experiment = FederatedExperiment(FederationConfig(**E2E_CONFIG),
                                      obs=obs)
     report = experiment.run(roadtest=False)
-    yield report, experiment, obs
-    experiment.close()
+    return report, experiment, obs
 
 
 class TestFederationWins:
@@ -73,35 +72,32 @@ class TestFederationUnderChaos:
     def test_kill_mid_query_then_full_roadtest(self):
         config = FederationConfig(**{**E2E_CONFIG, "seed": 5})
         experiment = FederatedExperiment(config)
-        try:
-            for site in experiment.sites:
-                site.run_day()
-            experiment.holdout.run_day()
-            # take one training site dark, mid-federation
-            experiment.sites[1].gateway._down = True
+        for site in experiment.sites:
+            site.run_day()
+        experiment.holdout.run_day()
+        # take one training site dark, mid-federation
+        experiment.sites[1].gateway._down = True
 
-            coordinator = experiment.coordinator
-            answer = coordinator.query_count(
-                Query(collection="packets"), epsilon=0.2)
-            assert answer.degraded and answer.n_answered == 2
-            assert ("federation", "partial-merge") in [
-                (e.stage, e.mode) for e in coordinator.ledger.entries]
+        coordinator = experiment.coordinator
+        answer = coordinator.query_count(
+            Query(collection="packets"), epsilon=0.2)
+        assert answer.degraded and answer.n_answered == 2
+        assert ("federation", "partial-merge") in [
+            (e.stage, e.mode) for e in coordinator.ledger.entries]
 
-            # the full develop -> road-test flow still completes on
-            # the surviving quorum
-            fed_report = experiment.run(roadtest=True)
-            assert fed_report.assembly is not None
-            assert fed_report.assembly.degraded
-            assert fed_report.assembly.n_answered == 2
-            assert fed_report.federated_f1 > 0.0
-            assert any("partial-merge" in line
-                       for line in fed_report.degradations)
-            assert fed_report.roadtests, "no site road-tested"
-            tested = {rt.site for rt in fed_report.roadtests}
-            assert "campus-1" not in tested  # dark site skipped
-            assert "campus-holdout" in tested
-        finally:
-            experiment.close()
+        # the full develop -> road-test flow still completes on
+        # the surviving quorum
+        fed_report = experiment.run(roadtest=True)
+        assert fed_report.assembly is not None
+        assert fed_report.assembly.degraded
+        assert fed_report.assembly.n_answered == 2
+        assert fed_report.federated_f1 > 0.0
+        assert any("partial-merge" in line
+                   for line in fed_report.degradations)
+        assert fed_report.roadtests, "no site road-tested"
+        tested = {rt.site for rt in fed_report.roadtests}
+        assert "campus-1" not in tested  # dark site skipped
+        assert "campus-holdout" in tested
 
 
 class TestCoordinatorObsIntegration:
@@ -111,15 +107,12 @@ class TestCoordinatorObsIntegration:
                                   campus_profile="tiny",
                                   duration_s=60.0, epsilon_total=5.0)
         experiment = FederatedExperiment(config, obs=obs)
-        try:
-            for site in experiment.sites:
-                site.run_day()
-            experiment.coordinator.query_count(
-                Query(collection="packets"), epsilon=0.5)
-            names = {span.name for span in obs.tracer.spans}
-            assert "federation.query" in names
-            spent = obs.metrics.gauge("repro_federation_epsilon_spent",
-                                      site="campus-0").value
-            assert spent == pytest.approx(0.5)
-        finally:
-            experiment.close()
+        for site in experiment.sites:
+            site.run_day()
+        experiment.coordinator.query_count(
+            Query(collection="packets"), epsilon=0.5)
+        names = {span.name for span in obs.tracer.spans}
+        assert "federation.query" in names
+        spent = obs.metrics.gauge("repro_federation_epsilon_spent",
+                                  site="campus-0").value
+        assert spent == pytest.approx(0.5)

@@ -85,17 +85,14 @@ class TestBudgetGating:
     def test_exhausted_budget_refuses_not_truncates(self):
         config = small_config(n_sites=1, seed=21, epsilon_total=0.3)
         (site,) = build_sites(config)
-        try:
-            site.gateway.send_count(ALL_PACKETS, 0.3)
-            spent = site.budget.spent
-            with pytest.raises(ReleaseRefused):
-                site.gateway.send_count(ALL_PACKETS, 0.1)
-            assert site.budget.spent == spent
-            assert site.budget.refused == 1
-            # schema releases charge nothing and still work
-            assert site.gateway.send_schema().feature_names
-        finally:
-            site.close()
+        site.gateway.send_count(ALL_PACKETS, 0.3)
+        spent = site.budget.spent
+        with pytest.raises(ReleaseRefused):
+            site.gateway.send_count(ALL_PACKETS, 0.1)
+        assert site.budget.spent == spent
+        assert site.budget.refused == 1
+        # schema releases charge nothing and still work
+        assert site.gateway.send_schema().feature_names
 
 
 class TestChaosAtTheBoundary:
@@ -108,43 +105,34 @@ class TestChaosAtTheBoundary:
 
     def test_outage_is_sticky(self):
         site = self._site_with(FaultKind.SITE_OUTAGE)
-        try:
-            with pytest.raises(SiteUnavailable) as excinfo:
-                site.gateway.send_count(ALL_PACKETS, 0.1)
-            assert excinfo.value.reason == "outage"
-            assert site.gateway.down
-            # ...and stays down on the next call, without a new draw
-            with pytest.raises(SiteUnavailable):
-                site.gateway.send_schema()
-            assert site.budget.spent == 0.0
-        finally:
-            site.close()
+        with pytest.raises(SiteUnavailable) as excinfo:
+            site.gateway.send_count(ALL_PACKETS, 0.1)
+        assert excinfo.value.reason == "outage"
+        assert site.gateway.down
+        # ...and stays down on the next call, without a new draw
+        with pytest.raises(SiteUnavailable):
+            site.gateway.send_schema()
+        assert site.budget.spent == 0.0
 
     def test_partition_loses_one_call_only(self):
         site = self._site_with(FaultKind.SITE_PARTITION, rate=0.5,
                                seed=33)
-        try:
-            outcomes = []
-            for _ in range(12):
-                try:
-                    site.gateway.send_schema()
-                    outcomes.append("ok")
-                except SiteUnavailable as exc:
-                    assert exc.reason == "partition"
-                    outcomes.append("lost")
-            assert "ok" in outcomes and "lost" in outcomes
-            assert not site.gateway.down
-        finally:
-            site.close()
+        outcomes = []
+        for _ in range(12):
+            try:
+                site.gateway.send_schema()
+                outcomes.append("ok")
+            except SiteUnavailable as exc:
+                assert exc.reason == "partition"
+                outcomes.append("lost")
+        assert "ok" in outcomes and "lost" in outcomes
+        assert not site.gateway.down
 
     def test_slow_site_inflates_reported_latency(self):
         site = self._site_with(FaultKind.SITE_SLOW, rate=1.0,
                                magnitude=7.5)
-        try:
-            release = site.gateway.send_count(ALL_PACKETS, 0.1)
-            assert release.latency_s >= 7.5
-        finally:
-            site.close()
+        release = site.gateway.send_count(ALL_PACKETS, 0.1)
+        assert release.latency_s >= 7.5
 
     def test_fault_draws_derive_from_site_substream(self):
         # Same plan seed, same site => identical fault schedule.
@@ -162,5 +150,4 @@ class TestChaosAtTheBoundary:
                 except SiteUnavailable:
                     history.append(False)
             histories.append(history)
-            site.close()
         assert histories[0] == histories[1]

@@ -155,7 +155,7 @@ class TestColumnarFromStore:
         packets = [_packet(0.5), _packet(1.0, src="not-an-ip")]
         store = self._store(packets)
         f = _featurizer()
-        assert f._partials(store, None, None) is None
+        assert f._partials(store, None) is None
         dataset = f.from_store(store)          # record-path fallback
         assert len(dataset.X) == len(f.examples_from_records(store))
         assert dataset.keys == f.to_dataset(

@@ -1,9 +1,8 @@
 """Featurize output is independent of how the store lays out its rows.
 
-Compaction re-sorts warm and cold segments by time, sharding spreads
-rows over several segment lists, and a parallel executor reduces
-segments in worker processes.  None of that may change the featurized
-``Dataset``: a compacted, sharded or spilled store must featurize
+Compaction re-sorts warm and cold segments by time, and sharding
+spreads rows over several segment lists.  Neither may change the
+featurized ``Dataset``: a compacted, sharded or spilled store must featurize
 exactly like a flat store holding the same batches unsealed in input
 order, and exactly like the record-at-a-time reference — the same
 keys, vector bytes and labels, whether labels come from ground truth or
@@ -16,7 +15,6 @@ import struct
 import tempfile
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
@@ -24,7 +22,6 @@ from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.events import EventWindow, GroundTruth
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketRecord
-from repro.parallel import ParallelExecutor, shm_available
 
 from tests.datastore.curate import label_by_rid
 from tests.datastore.reference import reference_store
@@ -97,20 +94,18 @@ def _assert_same_dataset(got, want):
     assert got.class_names == want.class_names
 
 
-def _assert_featurizes_like_flat(featurizer, store, flat, time_range=None,
-                                 executor=None):
+def _assert_featurizes_like_flat(featurizer, store, flat, time_range=None):
     """``from_store`` on ``store`` and on ``flat`` equals the record
     reference on ``flat``, labelled from curated votes and from ground
     truth, and the columnar path ran."""
-    assert featurizer._partials(store, time_range, executor) is not None
+    assert featurizer._partials(store, time_range) is not None
     reference = featurizer.examples_from_records(flat, time_range)
     for truth in (None, _ground_truth()):
         want = featurizer.to_dataset(reference, ground_truth=truth)
         _assert_same_dataset(featurizer.from_store(
             flat, ground_truth=truth, time_range=time_range), want)
         _assert_same_dataset(featurizer.from_store(
-            store, ground_truth=truth, time_range=time_range,
-            executor=executor), want)
+            store, ground_truth=truth, time_range=time_range), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,11 +162,9 @@ def test_tiered_store_featurizes_like_flat_store(batches, n_shards, memtable,
             shutil.rmtree(tmp, ignore_errors=True)
 
 
-@pytest.mark.skipif(not shm_available(), reason="needs shared memory")
-def test_worker_processes_featurize_compacted_store_like_flat_store(
-        tmp_path):
-    """Live workers over hot, warm and cold segments: same Dataset and
-    vote order as a flat store, and the tasks ran in workers."""
+def test_every_tier_featurizes_like_flat_store(tmp_path):
+    """Hot, warm and cold segments at once, with curated labels: same
+    Dataset and vote order as a flat store."""
     rng = np.random.default_rng(11)
     labels = ["", "benign", "scan", "ddos"]
     packets = [PacketRecord(
@@ -209,10 +202,7 @@ def test_worker_processes_featurize_compacted_store_like_flat_store(
     assert hot and warm and cold              # every tier featurized
 
     featurizer = SourceWindowFeaturizer(FeatureConfig(window_s=WINDOW_S))
-    with ParallelExecutor(workers=2) as ex:
-        _assert_featurizes_like_flat(featurizer, tiered, flat, executor=ex)
-        assert ex.tasks_in_workers > 0
-        assert ex.summary()["pool_failures"] == 0
+    _assert_featurizes_like_flat(featurizer, tiered, flat)
 
 
 def test_cold_segment_meta_decoded_once_per_featurize(tmp_path, monkeypatch):
@@ -261,5 +251,5 @@ def test_cold_segment_meta_decoded_once_per_featurize(tmp_path, monkeypatch):
     _assert_featurizes_like_flat(featurizer, tiered, flat)
     pairs = [id(segment.pair_blob) for segment in cold]
     reads.clear()
-    assert featurizer._partials(tiered, None, None) is not None
+    assert featurizer._partials(tiered, None) is not None
     assert sorted(r for r in reads if r in pairs) == sorted(pairs)

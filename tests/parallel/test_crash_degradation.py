@@ -1,9 +1,11 @@
-"""A worker crash mid-query degrades to serial — with identical answers.
+"""A worker crash mid task graph degrades to serial — with identical answers.
 
 The chaos kind ``parallel.worker_crash`` fires inside worker processes
 on the injector's deterministic schedule; the executor's recovery path
 re-runs the batch serially in the parent and records the fallback in
-the :class:`DegradationLedger`.  Results must not change.
+the :class:`DegradationLedger`.  The development loop's cross-validation
+and per-class distillation are the task graphs that ship work to
+workers, and their summaries must not change.
 """
 
 import numpy as np
@@ -11,27 +13,21 @@ import pytest
 
 from repro.chaos.faults import FaultKind, FaultPlan, FaultSpec
 from repro.chaos.resilience import DegradationLedger
-from repro.datastore.query import Query
-from repro.datastore.tiers import TieredDataStore
-from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
-from repro.netsim.packets import PacketColumns, PacketRecord
-from repro.parallel import ParallelExecutor, shm_available
-
-from tests.datastore.reference import execute_query_linear, reference_store
-
-pytestmark = pytest.mark.skipif(not shm_available(),
-                                reason="needs shared memory")
+from repro.core.devloop import DevelopmentLoop
+from repro.learning.dataset import Dataset
+from repro.parallel import ParallelExecutor
 
 
-def _packets(n=2000):
-    return [PacketRecord(
-        timestamp=(i % 600) * 0.05, src_ip=f"10.0.{i % 7}.{i % 50}",
-        dst_ip="9.9.0.7", src_port=40_000 + (i % 900),
-        dst_port=53 if i % 3 else 443, protocol=17 if i % 3 else 6,
-        size=100 + (i % 300), payload_len=0, flags=0, ttl=60, payload=b"",
-        flow_id=i % 13, app="dns" if i % 3 else "web",
-        label="scan" if i % 29 == 0 else "", direction="in",
-    ) for i in range(n)]
+@pytest.fixture(scope="module")
+def dataset():
+    rng = np.random.default_rng(3)
+    n = 200
+    X = rng.normal(size=(n, 4))
+    y = np.zeros(n, dtype=int)
+    y[X[:, 0] > 0.5] = 1
+    y[X[:, 1] > 0.9] = 2
+    return Dataset(X, y, [f"f{i}" for i in range(4)],
+                   ["benign", "scan", "exfil"])
 
 
 def _crash_executor(ledger):
@@ -41,57 +37,47 @@ def _crash_executor(ledger):
                             fault_injector=plan.injector())
 
 
-def test_crash_mid_query_degrades_to_serial_with_same_answers():
-    packets = _packets()
-    serial = reference_store()
-    serial.ingest_packets(list(packets))
-
-    ledger = DegradationLedger()
-    with _crash_executor(ledger) as ex:
-        sharded = TieredDataStore(n_shards=4, executor=ex)
-        sharded.ingest_packets(PacketColumns.from_records(list(packets)))
-        query = Query(collection="packets", where={"dst_port": 53},
-                      order_by_time=True)
-        got = [(s.rid, s.record) for s in sharded.query(query)]
-        want = [(s.rid, s.record)
-                for s in execute_query_linear(serial, query)]
-
-    assert got == want
+def _assert_serial_fallback(ledger):
     assert ledger.degraded("parallel")
     entry = next(e for e in ledger.entries if e.stage == "parallel")
     assert entry.mode == "serial-fallback"
     assert "crash" in entry.reason
 
 
-def test_crash_mid_featurize_degrades_to_serial_with_same_dataset():
-    packets = _packets()
-    serial = reference_store()
-    serial.ingest_packets(list(packets))
-    featurizer = SourceWindowFeaturizer(
-        FeatureConfig(window_s=5.0, min_packets=1))
-    want = featurizer.from_store(serial)
+def test_crash_mid_cross_validate_serial_fallback(dataset):
+    loop = DevelopmentLoop(teacher_name="tree")
+    want = loop.cross_validate(dataset, k=3, seed=2)
 
     ledger = DegradationLedger()
     with _crash_executor(ledger) as ex:
-        sharded = TieredDataStore(n_shards=4, executor=ex)
-        sharded.ingest_packets(PacketColumns.from_records(list(packets)))
-        got = featurizer.from_store(sharded, executor=ex)
+        got = loop.cross_validate(dataset, k=3, seed=2, executor=ex)
+        assert ex.tasks_in_workers == 0
 
-    assert np.array_equal(want.X, got.X)
-    assert np.array_equal(want.y, got.y)
-    assert want.keys == got.keys
-    assert ledger.degraded("parallel")
+    assert got == want
+    _assert_serial_fallback(ledger)
 
 
-def test_crash_replay_is_deterministic():
+def test_crash_mid_develop_per_class_serial_fallback(dataset):
+    loop = DevelopmentLoop(teacher_name="tree")
+    want = loop.develop_per_class(dataset, seed=4)
+
+    ledger = DegradationLedger()
+    with _crash_executor(ledger) as ex:
+        got = loop.develop_per_class(dataset, seed=4, executor=ex)
+        assert ex.tasks_in_workers == 0
+
+    assert got == want
+    _assert_serial_fallback(ledger)
+
+
+def test_crash_replay_is_deterministic(dataset):
     """Same plan seed => same degradation ledger shape, twice."""
     def run():
         ledger = DegradationLedger()
+        loop = DevelopmentLoop(teacher_name="tree")
         with _crash_executor(ledger) as ex:
-            sharded = TieredDataStore(n_shards=2, executor=ex)
-            sharded.ingest_packets(
-                PacketColumns.from_records(_packets(800)))
-            sharded.query(Query(collection="packets", order_by_time=True))
+            loop.cross_validate(dataset, k=3, seed=2, executor=ex)
         return [(e.stage, e.mode) for e in ledger.entries]
 
-    assert run() == run()
+    shape = run()
+    assert shape and shape == run()

@@ -1,16 +1,13 @@
-"""Sharded + parallel execution is bit-identical to serial execution.
+"""Sharded execution is bit-identical to unsharded execution.
 
-The substrate's contract: for any shard count and worker count, ingest
-order (record ids), query results (records *and* their order), and
-featurized datasets are exactly what the serial, unsharded pipeline
-produces: the linear reference over the same batches held unsealed in
-input order.  Worker-process equivalence runs on fixed seeds (forking
-inside hypothesis would be slow); the sharding logic itself is
+The store's contract: for any shard count, ingest order (record ids),
+query results (records *and* their order), and featurized datasets are
+exactly what the unsharded pipeline produces: the linear reference over
+the same batches held unsealed in input order.  The sharding logic is
 property-tested across adversarial window boundaries.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
@@ -18,7 +15,6 @@ from repro.datastore.query import Query
 from repro.datastore.tiers import TieredDataStore, TierPolicy
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketColumns, PacketRecord
-from repro.parallel import ParallelExecutor, shm_available
 
 from tests.datastore.reference import execute_query_linear, reference_store
 
@@ -63,11 +59,11 @@ def _serial_store(packets):
     return store
 
 
-def _sharded_store(packets, n_shards, columnar, executor=None):
+def _sharded_store(packets, n_shards, columnar):
     store = TieredDataStore(n_shards=n_shards,
                             metadata_extractor=MetadataExtractor(),
                             policy=TierPolicy(memtable_records=64),
-                            window_s=WINDOW_S, executor=executor)
+                            window_s=WINDOW_S)
     batch = PacketColumns.from_records(list(packets)) if columnar \
         else list(packets)
     store.ingest_packets(batch)
@@ -124,55 +120,3 @@ def test_sharded_featurize_matches_serial(packets, n_shards, columnar):
     assert np.array_equal(serial.y, sharded.y)
     assert serial.keys == sharded.keys
     assert serial.class_names == sharded.class_names
-
-
-@pytest.mark.skipif(not shm_available(), reason="needs shared memory")
-def test_worker_processes_match_serial_end_to_end():
-    """Real worker pool: query + featurize identical to serial, and the
-    tasks demonstrably ran in workers."""
-    rng = np.random.default_rng(7)
-    packets = [PacketRecord(
-        timestamp=float(rng.uniform(0.0, 30.0)),
-        src_ip=IPS[int(rng.integers(len(IPS)))],
-        dst_ip=IPS[int(rng.integers(len(IPS) - 1))],
-        src_port=int(rng.integers(1024, 60_000)),
-        dst_port=int(PORTS[int(rng.integers(len(PORTS)))]),
-        protocol=int(rng.choice([6, 17])), size=int(rng.integers(40, 1500)),
-        payload_len=0, flags=0, ttl=60, payload=b"", flow_id=int(i % 11),
-        app="web", label="scan" if i % 17 == 0 else "",
-        direction="in" if i % 2 else "out",
-    ) for i in range(3000)]
-
-    serial = _serial_store(packets)
-    featurizer = SourceWindowFeaturizer(
-        FeatureConfig(window_s=WINDOW_S, min_packets=1))
-    serial_ds = featurizer.from_store(serial)
-
-    with ParallelExecutor(workers=2) as ex:
-        sharded = _sharded_store(packets, 4, columnar=True, executor=ex)
-        for query in QUERIES:
-            _assert_matches_serial(sharded, serial, query)
-        parallel_ds = featurizer.from_store(sharded, executor=ex)
-        assert ex.tasks_in_workers > 0
-        assert ex.summary()["pool_failures"] == 0
-
-    assert np.array_equal(serial_ds.X, parallel_ds.X)
-    assert np.array_equal(serial_ds.y, parallel_ds.y)
-    assert serial_ds.keys == parallel_ds.keys
-
-
-def test_workers_zero_falls_back_to_serial_paths():
-    """The workers=0 configuration (CI's guaranteed path) produces the
-    same answers with zero worker tasks."""
-    packets = [PacketRecord(
-        timestamp=i * 0.01, src_ip=IPS[i % 4], dst_ip=IPS[(i + 1) % 4],
-        src_port=40_000 + i, dst_port=PORTS[i % len(PORTS)],
-        protocol=6, size=100, payload_len=0, flags=0, ttl=60, payload=b"",
-        flow_id=i % 5, app="web", label="", direction="in",
-    ) for i in range(500)]
-    serial = _serial_store(packets)
-    ex = ParallelExecutor(workers=0)
-    sharded = _sharded_store(packets, 4, columnar=True, executor=ex)
-    for query in QUERIES:
-        _assert_matches_serial(sharded, serial, query)
-    assert ex.tasks_in_workers == 0

@@ -211,8 +211,7 @@ class TestQueryInternals:
             def execute(segment, query):
                 return _scan_segment(segment, query)
         """
-        for rel_path in ("datastore/query.py", "datastore/planner.py",
-                         "parallel/kernels.py"):
+        for rel_path in ("datastore/query.py", "datastore/planner.py"):
             assert _lint(source, rel_path=rel_path) == []
 
     def test_public_query_api_is_clean(self):
